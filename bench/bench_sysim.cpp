@@ -101,10 +101,13 @@ std::uint64_t probe_run(const Workload& w, const SystemConfig& sc,
 
 /// Run-only wall time, averaged over enough repetitions to fill the
 /// measurement budget. The system is staged once and snapshot/restored
-/// per rep (outside the timed window): restore keeps each engine's
-/// set_matrix programming memo warm, so offload rows measure the
-/// execution tier, not per-rep weight-calibration math — the
-/// single-shot floor the PR 3 notes flagged.
+/// per rep (outside the timed window). Each engine's set_matrix memo
+/// survives restore and the warm-up rep fills it, so offload rows
+/// measure the execution tier, not per-rep weight-decomposition math —
+/// as long as a workload streams at most MvmEngine::kProgramMemoCap
+/// distinct weight tiles per engine. Every workload here uses a single
+/// 8x8 tile; a tile set larger than the cap would cycle the MRU memo
+/// and miss on every tile.
 double record_runs(const char* name, std::size_t n, const Stager& stage,
                    const SystemConfig& sc) {
   System system(sc);

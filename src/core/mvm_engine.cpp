@@ -79,11 +79,14 @@ void MvmEngine::set_matrix(const CMat& w) {
 
   weight_ = w;
 
-  // Decomposition memo: SVD + mesh programming are pure functions of the
-  // weight bytes (per die), so a repeat matrix skips the expensive math
-  // and reprograms from the cached phases, bit-identically.
+  // Programming memo: SVD, mesh programming and the composed transfer
+  // are pure functions of the weight bytes and the drift time (per die),
+  // so a repeat matrix restores the recorded state instead of redoing
+  // the math. program() only invalidates the meshes' column caches; they
+  // are rebuilt lazily if a fault or drift change ever needs them.
+  const double drift = cfg_.pcm_drift_time_s;
   for (auto it = program_memo_.begin(); it != program_memo_.end(); ++it) {
-    if (it->key != w.raw()) continue;
+    if (it->drift_time_s != drift || it->key != w.raw()) continue;
     svd_ = it->svd;
     sigma_max_ = it->sigma_max;
     attenuation_ = it->attenuation;
@@ -91,12 +94,16 @@ void MvmEngine::set_matrix(const CMat& w) {
       mesh_u_->program(it->phases_u);
       mesh_v_->program(it->phases_v);
     }
+    t_phys_ = it->t_phys;
+    gain_ = it->gain;
+    fidelity_ = it->fidelity;
     std::rotate(program_memo_.begin(), it, it + 1);  // keep MRU first
+    ++memo_stats_.hits;
     account_programming();
     weights_clean_ = true;
-    refresh_transfer();
     return;
   }
+  ++memo_stats_.misses;
 
   lina::svd(w, svd_, svd_ws_);
   sigma_max_ = svd_.sigma_max();
@@ -121,14 +128,19 @@ void MvmEngine::set_matrix(const CMat& w) {
                                    program_scratch_);
   }
 
-  program_memo_.insert(program_memo_.begin(),
-                       ProgramMemo{w.raw(), svd_, sigma_max_, attenuation_,
-                                   mesh_u_->phases(), mesh_v_->phases()});
-  if (program_memo_.size() > kProgramMemoCap) program_memo_.pop_back();
-
   account_programming();
   weights_clean_ = true;
   refresh_transfer();
+
+  program_memo_.insert(
+      program_memo_.begin(),
+      ProgramMemo{w.raw(), drift, svd_, sigma_max_, attenuation_,
+                  mesh_u_->phases(), mesh_v_->phases(), t_phys_, gain_,
+                  fidelity_});
+  if (program_memo_.size() > kProgramMemoCap) {
+    program_memo_.pop_back();
+    ++memo_stats_.evictions;
+  }
 }
 
 void MvmEngine::compose_path_into(const CMat& tu, const CMat& tv,
@@ -178,12 +190,15 @@ void MvmEngine::perturb_phase(std::size_t index, double delta_rad) {
   if (index >= phase_state_size())
     throw std::out_of_range("MvmEngine::perturb_phase: index");
   weights_clean_ = false;  // mesh no longer holds the programmed weights
-  if (index < mesh_v_->phase_count()) {
-    mesh_v_->set_phase(index, mesh_v_->phase(index) + delta_rad);
-  } else {
-    const std::size_t k = index - mesh_v_->phase_count();
-    mesh_u_->set_phase(k, mesh_u_->phase(k) + delta_rad);
-  }
+  const bool in_v = index < mesh_v_->phase_count();
+  mesh::PhysicalMesh& m = in_v ? *mesh_v_ : *mesh_u_;
+  const std::size_t k = in_v ? index : index - mesh_v_->phase_count();
+  // A memo hit leaves the column cache unbuilt. Build it before the upset
+  // so the perturbed transfer takes the same incremental update, bit for
+  // bit, as after a fresh decomposition (where the cache is already built
+  // and this returns at once).
+  (void)m.transfer();
+  m.set_phase(k, m.phase(k) + delta_rad);
   rebuild_physical_transfer();
   fidelity_ = sigma_max_ > 0.0 ? CMat::fidelity(weight_, t_phys_) : 1.0;
 }

@@ -61,6 +61,16 @@ struct MvmConfig {
   std::uint64_t noise_seed = 0x5eedULL;
 };
 
+/// Host-side behaviour of the set_matrix programming memo. Diagnostic
+/// only: excluded from snapshots and the campaign wire format, like
+/// rv::BlockStats. The unchanged-weights fast path counts as neither a
+/// hit nor a miss.
+struct MemoStats {
+  std::uint64_t hits = 0;       ///< programs restored from an entry
+  std::uint64_t misses = 0;     ///< programs decomposed from scratch
+  std::uint64_t evictions = 0;  ///< entries dropped at capacity
+};
+
 /// Cumulative operation counters for energy/latency reporting.
 struct MvmCounters {
   std::uint64_t mvm_ops = 0;       ///< vectors pushed through the mesh
@@ -71,6 +81,11 @@ struct MvmCounters {
 
 class MvmEngine {
  public:
+  /// Programming-memo capacity (entries, ~6 KB each at 8 ports): holds a
+  /// small model's whole tile working set — the 64-32-10 MLP streams 40
+  /// distinct 8x8 tiles per inference — with headroom.
+  static constexpr std::size_t kProgramMemoCap = 64;
+
   explicit MvmEngine(MvmConfig cfg);
 
   /// Program an arbitrary N x N matrix (real matrices: zero imaginary
@@ -169,6 +184,7 @@ class MvmEngine {
   [[nodiscard]] double program_time_s() const;
 
   [[nodiscard]] const MvmCounters& counters() const { return counters_; }
+  [[nodiscard]] const MemoStats& memo_stats() const { return memo_stats_; }
   [[nodiscard]] const MvmConfig& config() const { return cfg_; }
   /// Fidelity achieved by the last set_matrix (physical vs target shape).
   [[nodiscard]] double programming_fidelity() const { return fidelity_; }
@@ -177,9 +193,10 @@ class MvmEngine {
 
   // -- Snapshot / restore -------------------------------------------------
   /// Complete mutable engine state: mesh programs, calibrated transfer,
-  /// noise-stream position and cost counters. The decomposition memo is
-  /// a pure cache and deliberately excluded — it survives restore, which
-  /// is exactly what makes repeated fault-campaign trials cheap.
+  /// noise-stream position and cost counters. The programming memo (and
+  /// its MemoStats) is a pure cache and deliberately excluded — it
+  /// survives restore, which is exactly what makes repeated
+  /// fault-campaign trials cheap.
   struct Snapshot {
     mesh::PhysicalMesh::Snapshot mesh_u, mesh_v;
     lina::CMat weight;
@@ -209,20 +226,25 @@ class MvmEngine {
   /// way; only the host-side math is skipped).
   void account_programming();
 
-  /// Memoized pure weight-programming math, keyed by the exact weight
-  /// bytes: the SVD plus the final per-mesh phase programs (after any
-  /// recalibration) and the attenuator settings. A hit skips the
-  /// decomposition entirely; reprogramming from the cached phases is
-  /// bit-identical to the recomputed path. Per-engine and therefore
+  /// Memoized pure weight-programming result, keyed by the exact weight
+  /// bytes and the PCM drift time it was computed at (the physical
+  /// transfer, and with recalibration the phases, depend on drift): the
+  /// SVD, the final per-mesh phase programs, the attenuator settings and
+  /// the composed, calibrated transfer. A hit copies all of it back and
+  /// reprograms the meshes lazily, so it is bit-identical to the miss
+  /// that recorded it by construction. Per-engine and therefore
   /// thread-private (campaign workers never share engines).
   struct ProgramMemo {
     std::vector<lina::cplx> key;
+    double drift_time_s = 0.0;
     lina::SvdResult svd;
     double sigma_max = 0.0;
     std::vector<double> attenuation;
     std::vector<double> phases_u, phases_v;
+    lina::CMat t_phys;
+    lina::cplx gain{1.0, 0.0};
+    double fidelity = 0.0;
   };
-  static constexpr std::size_t kProgramMemoCap = 8;
 
   MvmConfig cfg_;
   lina::Rng rng_;
@@ -244,6 +266,7 @@ class MvmEngine {
   mutable lina::CVec scratch_noiseless_;  ///< multiply_noiseless_into fields
   mutable lina::CMat scratch_noiseless_batch_;  ///< batch variant fields
   std::vector<ProgramMemo> program_memo_;  ///< MRU-ordered, capped
+  MemoStats memo_stats_;
   /// True while the meshes hold exactly what the last set_matrix
   /// programmed (no phase perturbation / drift advance since): lets
   /// set_matrix of the identical matrix reduce to cost accounting.

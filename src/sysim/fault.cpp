@@ -2,10 +2,42 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace aspen::sys {
+
+namespace {
+
+/// Block size of the image scans below: libc's memcmp compares a whole
+/// block with vector loads, so only the block holding the first (or
+/// last) difference is walked byte by byte. A bytewise scan of the whole
+/// image runs at the mercy of its loop's code alignment.
+constexpr std::size_t kScanBlock = 256;
+
+/// [lo, hi) span of the bytes where two equal-size images differ
+/// (lo == hi when they are identical).
+std::pair<std::size_t, std::size_t> diff_span(
+    const std::vector<std::uint8_t>& a, const std::vector<std::uint8_t>& b) {
+  const std::size_t n = a.size();
+  std::size_t lo = 0;
+  while (lo + kScanBlock <= n &&
+         std::memcmp(&a[lo], &b[lo], kScanBlock) == 0)
+    lo += kScanBlock;
+  while (lo < n && a[lo] == b[lo]) ++lo;
+  if (lo == n) return {n, n};
+  std::size_t hi = n;
+  while (hi - lo >= kScanBlock &&
+         std::memcmp(&a[hi - kScanBlock], &b[hi - kScanBlock], kScanBlock) ==
+             0)
+    hi -= kScanBlock;
+  while (a[hi - 1] == b[hi - 1]) --hi;
+  return {lo, hi};
+}
+
+}  // namespace
 
 std::string to_string(FaultTarget t) {
   switch (t) {
@@ -125,14 +157,8 @@ void FaultCampaign::build_ladder(unsigned rungs) {
     // golden prefix is deterministic, so this one-time scan lets trials
     // restoring across rungs hand restore_fast a tight stale span
     // instead of the whole DRAM.
-    const std::vector<std::uint8_t>& a = rung.snap.dram.bytes;
-    const std::vector<std::uint8_t>& b = staged_.dram.bytes;
-    std::size_t lo = 0;
-    const std::size_t n = a.size();
-    while (lo < n && a[lo] == b[lo]) ++lo;
-    if (lo < n) {
-      std::size_t hi = n;
-      while (hi > lo && a[hi - 1] == b[hi - 1]) --hi;
+    const auto [lo, hi] = diff_span(rung.snap.dram.bytes, staged_.dram.bytes);
+    if (lo < hi) {
       rung.stale_lo = static_cast<std::uint32_t>(lo);
       rung.stale_len = static_cast<std::uint32_t>(hi - lo);
     }

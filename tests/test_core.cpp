@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/energy_model.hpp"
@@ -267,6 +268,176 @@ TEST(MvmEngineTest, MemoizedProgramMatchesWithRecalibrationAndPcm) {
   eng.set_matrix(w1);
   EXPECT_TRUE(bit_equal(eng.physical_transfer(), t1));
   EXPECT_EQ(eng.system_gain(), g1);
+}
+
+/// Everything set_matrix derives: the composed physical transfer, the
+/// calibrated system gain and the programming fidelity.
+struct Programmed {
+  CMat t;
+  cplx gain;
+  double fidelity = 0.0;
+};
+
+Programmed programmed(const MvmEngine& eng) {
+  return {eng.physical_transfer(), eng.system_gain(),
+          eng.programming_fidelity()};
+}
+
+bool same_program(const Programmed& a, const Programmed& b) {
+  return bit_equal(a.t, b.t) && a.gain == b.gain && a.fidelity == b.fidelity;
+}
+
+/// A fabricated die with PCM weights, as the memory-mapped accelerator
+/// builds its engines.
+MvmConfig pcm_die_config() {
+  MvmConfig cfg;
+  cfg.ports = 8;
+  cfg.errors.coupler_sigma = 0.02;
+  cfg.errors.phase_sigma = 0.02;
+  cfg.weights = WeightTechnology::kPcm;
+  return cfg;
+}
+
+std::vector<CMat> random_tiles(std::size_t count, std::size_t n,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<CMat> tiles;
+  for (std::size_t i = 0; i < count; ++i)
+    tiles.push_back(aspen::lina::random_real(n, n, rng));
+  return tiles;
+}
+
+/// Streams `tiles` through `set` twice: the second pass must be served
+/// entirely by `eng`'s memo and reproduce the first pass bit for bit.
+template <typename SetFn>
+void expect_working_set_hits(const MvmEngine& eng, const SetFn& set,
+                             const std::vector<CMat>& tiles) {
+  std::vector<Programmed> first;
+  for (const CMat& w : tiles) {
+    set(w);
+    first.push_back(programmed(eng));
+  }
+  const MemoStats before = eng.memo_stats();
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    set(tiles[i]);
+    EXPECT_TRUE(same_program(programmed(eng), first[i])) << "tile " << i;
+  }
+  EXPECT_EQ(eng.memo_stats().hits - before.hits, tiles.size());
+  EXPECT_EQ(eng.memo_stats().misses, before.misses);
+  EXPECT_EQ(eng.memo_stats().evictions, 0u);
+}
+
+TEST(MvmEngineTest, MemoHoldsFortyTileWorkingSet) {
+  // The 64-32-10 MLP streams 40 distinct 8x8 tiles per inference.
+  MvmEngine eng(pcm_die_config());
+  expect_working_set_hits(
+      eng, [&](const CMat& w) { eng.set_matrix(w); }, random_tiles(40, 8, 95));
+}
+
+TEST(GemmCoreTest, MemoHoldsAbftAugmentedWorkingSet) {
+  GemmConfig gc;
+  gc.mvm = pcm_die_config();
+  gc.abft.enabled = true;  // 10-port engine: tiles carry checksum rows
+  GemmCore core(gc);
+  ASSERT_EQ(core.engine().config().ports, 10u);
+  expect_working_set_hits(
+      core.engine(), [&](const CMat& w) { core.set_weights(w); },
+      random_tiles(40, 8, 96));
+}
+
+TEST(MvmEngineTest, MemoEvictionStillMatchesFreshEngine) {
+  const MvmConfig cfg = pcm_die_config();
+  const std::vector<CMat> tiles =
+      random_tiles(MvmEngine::kProgramMemoCap + 1, 8, 97);
+  MvmEngine eng(cfg);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      eng.set_matrix(tiles[i]);
+      MvmEngine fresh(cfg);
+      fresh.set_matrix(tiles[i]);
+      EXPECT_TRUE(same_program(programmed(eng), programmed(fresh)))
+          << "pass " << pass << " tile " << i;
+    }
+  }
+  EXPECT_GT(eng.memo_stats().evictions, 0u);
+}
+
+TEST(MvmEngineTest, MemoKeysOnPcmDriftTime) {
+  const MvmConfig cfg = pcm_die_config();
+  const double t = 1e6;
+  Rng rng(98);
+  const CMat w1 = aspen::lina::random_real(8, 8, rng);
+  const CMat w2 = aspen::lina::random_real(8, 8, rng);
+  MvmConfig cfg_t = cfg;
+  cfg_t.pcm_drift_time_s = t;
+  MvmEngine fresh(cfg_t);
+  fresh.set_matrix(w1);
+
+  MvmEngine eng(cfg);
+  eng.set_matrix(w1);
+  // Drift moves the transfer: a memo entry from t = 0 would be stale.
+  ASSERT_FALSE(same_program(programmed(eng), programmed(fresh)));
+  eng.set_pcm_drift_time(t);
+  eng.set_matrix(w2);
+  const std::uint64_t hits = eng.memo_stats().hits;
+  eng.set_matrix(w1);
+  EXPECT_EQ(eng.memo_stats().hits, hits);
+  EXPECT_TRUE(same_program(programmed(eng), programmed(fresh)));
+}
+
+TEST(MvmEngineTest, MemoKeysOnDriftAcrossRestore) {
+  const MvmConfig cfg = pcm_die_config();
+  const double t = 1e6;
+  Rng rng(99);
+  const CMat w1 = aspen::lina::random_real(8, 8, rng);
+  MvmConfig cfg_t = cfg;
+  cfg_t.pcm_drift_time_s = t;
+  MvmEngine fresh(cfg_t);
+  fresh.set_matrix(w1);
+
+  MvmEngine eng(cfg);
+  eng.set_pcm_drift_time(t);
+  const MvmEngine::Snapshot at_t = eng.snapshot();
+  eng.set_pcm_drift_time(0.0);
+  eng.set_matrix(w1);  // memo entry recorded at t = 0
+  eng.restore(at_t);
+  const std::uint64_t hits = eng.memo_stats().hits;
+  eng.set_matrix(w1);
+  EXPECT_EQ(eng.memo_stats().hits, hits);
+  EXPECT_TRUE(same_program(programmed(eng), programmed(fresh)));
+}
+
+TEST(MvmEngineTest, PhaseFaultAfterMemoHitMatchesMiss) {
+  // A hit reprograms the meshes lazily (column caches unbuilt); an upset
+  // right after it must land exactly where it does after a miss.
+  const MvmConfig cfg = pcm_die_config();
+  Rng rng(100);
+  const CMat w1 = aspen::lina::random_real(8, 8, rng);
+  const CMat w2 = aspen::lina::random_real(8, 8, rng);
+  const CVec x = aspen::lina::random_state(8, rng);
+  const std::size_t phases = MvmEngine(cfg).phase_state_size();
+  // One phase in mesh V (indexed first), one in mesh U.
+  for (const std::size_t k : {std::size_t{3}, phases - 5}) {
+    MvmEngine miss(cfg);
+    MvmEngine hit(cfg);
+    hit.set_matrix(w1);
+    hit.set_matrix(w2);
+    const std::uint64_t hits = hit.memo_stats().hits;
+    miss.set_matrix(w1);
+    hit.set_matrix(w1);
+    ASSERT_EQ(hit.memo_stats().hits, hits + 1);
+    ASSERT_EQ(miss.memo_stats().hits, 0u);
+
+    miss.perturb_phase(k, 0.7);
+    hit.perturb_phase(k, 0.7);
+    EXPECT_TRUE(same_program(programmed(hit), programmed(miss))) << k;
+    EXPECT_EQ(hit.multiply_noiseless(x).raw(), miss.multiply_noiseless(x).raw())
+        << k;
+
+    miss.set_matrix(w1);
+    hit.set_matrix(w1);
+    EXPECT_TRUE(same_program(programmed(hit), programmed(miss))) << k;
+  }
 }
 
 TEST(MvmEngineTest, SnapshotRestoreRoundTrip) {

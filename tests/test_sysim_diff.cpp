@@ -802,6 +802,13 @@ struct FaultScenario {
   FaultSpec spec;
 };
 
+// GoogleTest would otherwise print the raw bytes of the param, pointer
+// included, into the discovered CTest names, which then change from one
+// build to the next.
+void PrintTo(const FaultScenario& s, std::ostream* os) {
+  *os << s.what << " at cycle " << s.spec.cycle;
+}
+
 class DiffFaultTest : public ::testing::TestWithParam<FaultScenario> {};
 
 TEST_P(DiffFaultTest, InjectedRunsIdentical) {
@@ -951,6 +958,11 @@ struct DmaCase {
   const char* what;
   std::uint32_t src_off, dst_off, len;
 };
+
+void PrintTo(const DmaCase& dc, std::ostream* os) {
+  *os << std::hex << "src 0x" << dc.src_off << " dst 0x" << dc.dst_off
+      << std::dec << " len " << dc.len;
+}
 
 class DiffDmaTest : public ::testing::TestWithParam<DmaCase> {};
 
