@@ -41,12 +41,4 @@ bool block_tier_env_default() {
   return enabled;
 }
 
-bool block_constfold_env_default() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("ASPEN_BLOCK_CONSTFOLD");
-    return v == nullptr || v[0] == '\0' || std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
-}
-
 }  // namespace aspen::sys::rv

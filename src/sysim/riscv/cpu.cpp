@@ -21,76 +21,6 @@ std::int32_t sign_extend(std::uint32_t v, unsigned bits) {
   return static_cast<std::int32_t>(v << shift) >> shift;
 }
 
-/// Build-time constant evaluation for the folding pass. Semantics must
-/// match Cpu::exec_alu bit-for-bit (including the M-extension division
-/// edge cases); `y` is the immediate for OP-IMM forms (shamt already
-/// masked at decode) and the rs2 value for OP forms (shift amount
-/// masked here, like the hardware would).
-std::uint32_t eval_alu_const(std::uint8_t op, std::uint32_t x,
-                             std::uint32_t y) {
-  const auto sx = static_cast<std::int32_t>(x);
-  const auto sy = static_cast<std::int32_t>(y);
-  switch (op) {
-    case MicroOp::kAddi: return x + y;
-    case MicroOp::kSlti: return sx < sy ? 1u : 0u;
-    case MicroOp::kSltiu: return x < y ? 1u : 0u;
-    case MicroOp::kXori: return x ^ y;
-    case MicroOp::kOri: return x | y;
-    case MicroOp::kAndi: return x & y;
-    case MicroOp::kSlli: return x << y;
-    case MicroOp::kSrli: return x >> y;
-    case MicroOp::kSrai: return static_cast<std::uint32_t>(sx >> y);
-    case MicroOp::kAdd: return x + y;
-    case MicroOp::kSub: return x - y;
-    case MicroOp::kSll: return x << (y & 0x1F);
-    case MicroOp::kSlt: return sx < sy ? 1u : 0u;
-    case MicroOp::kSltu: return x < y ? 1u : 0u;
-    case MicroOp::kXor: return x ^ y;
-    case MicroOp::kSrl: return x >> (y & 0x1F);
-    case MicroOp::kSra: return static_cast<std::uint32_t>(sx >> (y & 0x1F));
-    case MicroOp::kOr: return x | y;
-    case MicroOp::kAnd: return x & y;
-    default: {
-      const auto sa = static_cast<std::int64_t>(sx);
-      const auto sb = static_cast<std::int64_t>(sy);
-      const auto ua = static_cast<std::uint64_t>(x);
-      const auto ub = static_cast<std::uint64_t>(y);
-      switch (op) {
-        case MicroOp::kMul: return static_cast<std::uint32_t>(sa * sb);
-        case MicroOp::kMulh:
-          return static_cast<std::uint32_t>((sa * sb) >> 32);
-        case MicroOp::kMulhsu:
-          return static_cast<std::uint32_t>(
-              (sa * static_cast<std::int64_t>(ub)) >> 32);
-        case MicroOp::kMulhu: return static_cast<std::uint32_t>((ua * ub) >> 32);
-        case MicroOp::kDiv:
-          if (y == 0) return 0xFFFFFFFFu;
-          if (x == 0x80000000u && y == 0xFFFFFFFFu) return 0x80000000u;
-          return static_cast<std::uint32_t>(sx / sy);
-        case MicroOp::kDivu: return y == 0 ? 0xFFFFFFFFu : x / y;
-        case MicroOp::kRem:
-          if (y == 0) return x;
-          if (x == 0x80000000u && y == 0xFFFFFFFFu) return 0;
-          return static_cast<std::uint32_t>(sx % sy);
-        default: return y == 0 ? x : x % y;  // kRemu
-      }
-    }
-  }
-}
-
-/// Branch-direction evaluation for the folding pass; matches exec_op.
-bool eval_branch_const(std::uint8_t op, std::uint32_t a, std::uint32_t b) {
-  switch (op) {
-    case MicroOp::kBeq: return a == b;
-    case MicroOp::kBne: return a != b;
-    case MicroOp::kBlt:
-      return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-    case MicroOp::kBge:
-      return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-    case MicroOp::kBltu: return a < b;
-    default: return a >= b;  // kBgeu
-  }
-}
 }  // namespace
 
 Cpu::Cpu(Bus& bus, CpuConfig cfg)
@@ -518,112 +448,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
     }
     op_pc += bo.len;
   }
-  // Constant-folding pass: walk the ops once, tracking registers whose
-  // value is fully determined by in-block immediates (x0 plus anything
-  // written by lui / resolved-auipc / folded OP-IMM chains). An op whose
-  // inputs are all known gets its result (kFoldValue), effective address
-  // (kFoldAddr), or branch direction (kFoldBranch) precomputed into
-  // fold_val. Nothing is assumed about register state at entry, so a
-  // fold is valid on every dispatch of the block; the executor bypasses
-  // folds when register faults are armed (see exec_block).
-  if (cfg_.block_constfold) {
-    std::uint32_t known = 1;  // bit i: value of xi is known (x0 always)
-    std::array<std::uint32_t, 32> kv{};
-    const auto is_known = [&known](std::uint8_t r) {
-      return (known >> r) & 1u;
-    };
-    const auto set_known = [&](std::uint8_t rd, std::uint32_t v) {
-      if (rd == 0) return;
-      known |= 1u << rd;
-      kv[rd] = v;
-    };
-    const auto clear_known = [&known](std::uint8_t rd) {
-      if (rd != 0) known &= ~(1u << rd);
-    };
-    std::uint32_t fold_pc = blk.start;
-    for (BlockOp& bo : blk.ops) {
-      const MicroOp& u = bo.a;
-      switch (bo.fuse) {
-        case kFuseLuiAddi:
-          set_known(u.rd, u.imm);
-          set_known(bo.b.rd, bo.fused_imm);
-          break;
-        case kFuseAuipcJalr:
-          set_known(u.rd, fold_pc + u.imm);
-          set_known(bo.b.rd, fold_pc + bo.len);
-          break;
-        case kFuseLoadOp:
-          clear_known(u.rd);
-          clear_known(bo.b.rd);
-          break;
-        case kFuseOpBranch:
-          // The branch half writes no register (its rd field carries
-          // immediate bits), so only the ALU half clobbers.
-          clear_known(u.rd);
-          break;
-        default: {  // unfused
-          if (u.op == MicroOp::kLui) {
-            set_known(u.rd, u.imm);
-          } else if (u.op >= MicroOp::kAddi && u.op <= MicroOp::kSrai) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldValue;
-              bo.fold_val = eval_alu_const(u.op, kv[u.rs1], u.imm);
-              set_known(u.rd, bo.fold_val);
-              ++st.folded_built;
-            } else {
-              clear_known(u.rd);
-            }
-          } else if (u.op >= MicroOp::kAdd && u.op <= MicroOp::kRemu) {
-            if (is_known(u.rs1) && is_known(u.rs2)) {
-              bo.fold = kFoldValue;
-              bo.fold_val = eval_alu_const(u.op, kv[u.rs1], kv[u.rs2]);
-              set_known(u.rd, bo.fold_val);
-              ++st.folded_built;
-            } else {
-              clear_known(u.rd);
-            }
-          } else if (u.op >= MicroOp::kLb && u.op <= MicroOp::kLhu) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = kv[u.rs1] + u.imm;
-              ++st.folded_built;
-            }
-            clear_known(u.rd);  // loaded value is never known
-          } else if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = kv[u.rs1] + u.imm;
-              ++st.folded_built;
-            }
-          } else if (u.op >= MicroOp::kBeq && u.op <= MicroOp::kBgeu) {
-            if (is_known(u.rs1) && is_known(u.rs2)) {
-              bo.fold = kFoldBranch;
-              bo.fold_val =
-                  eval_branch_const(u.op, kv[u.rs1], kv[u.rs2]) ? 1u : 0u;
-              ++st.folded_built;
-            }
-          } else if (u.op == MicroOp::kJalr) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = (kv[u.rs1] + u.imm) & ~1u;
-              // A statically-known indirect target makes the block
-              // chainable like a direct jump.
-              blk.taken_pc = bo.fold_val;
-              ++st.folded_built;
-            }
-            clear_known(u.rd);
-          } else if (u.op == MicroOp::kJal) {
-            set_known(u.rd, fold_pc + u.len);
-          } else if (u.op >= MicroOp::kCsrrw && u.op <= MicroOp::kCsrrci) {
-            clear_known(u.rd);
-          }
-          // ecall/ebreak/wfi/mret/fence/illegal: no register writes.
-          break;
-        }
-      }
-      fold_pc += bo.len;
-    }
-  }
   // Then carve the exec plan into segments: consecutive pure register
   // ops — no faults, traps, bus traffic, or cycles_/pc_ reads, cycle
   // cost known now — form a static run the executor retires with one
@@ -939,90 +763,6 @@ bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
   return true;
 }
 
-bool Cpu::retire_folded(const BlockOp& bo, std::uint64_t& budget,
-                        BurstResult& r) {
-  const MicroOp& u = bo.a;
-  ++cycles_;
-  --budget;
-  ++r.cycles;
-  // Callers gate on fetch_latency == 0, so no fetch stall to add here.
-  // Each arm mirrors the matching retire_half branch with the fold
-  // result substituted for the register reads / computed value.
-  if (bo.fold == kFoldValue) {
-    write_reg(u.rd, bo.fold_val);
-    if (u.op >= MicroOp::kMul && u.op <= MicroOp::kRemu)
-      stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                          : cfg_.div_latency - 1;
-    ++instret_;
-    pc_ += u.len;
-  } else if (u.op >= MicroOp::kLb && u.op <= MicroOp::kLhu) {
-    const std::uint32_t addr = bo.fold_val;
-    unsigned size = 1;
-    if (u.op == MicroOp::kLh || u.op == MicroOp::kLhu) size = 2;
-    if (u.op == MicroOp::kLw) size = 4;
-    std::uint32_t v;
-    if (!fast_read(addr, size, v)) {
-      const Bus::Access acc = bus_.read(addr, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(5);  // load access fault (does not retire)
-        return false;
-      }
-      stall_ += acc.latency;
-      v = acc.value;
-    }
-    if (u.op == MicroOp::kLb)
-      v = static_cast<std::uint32_t>(sign_extend(v, 8));
-    if (u.op == MicroOp::kLh)
-      v = static_cast<std::uint32_t>(sign_extend(v, 16));
-    write_reg(u.rd, v);
-    ++instret_;
-    pc_ += u.len;
-  } else if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw) {
-    const std::uint32_t addr = bo.fold_val;
-    const std::uint32_t b = read_reg(u.rs2);
-    unsigned size = 1;
-    if (u.op == MicroOp::kSh) size = 2;
-    if (u.op == MicroOp::kSw) size = 4;
-    if (!fast_write(addr, b, size)) {
-      const Bus::Access acc = bus_.write(addr, b, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(7);  // store access fault (does not retire)
-        return false;
-      }
-      bus_access_ = bus_access_ || acc.activating;
-      stall_ += acc.latency;
-    }
-    ++instret_;
-    pc_ += u.len;
-    if (bus_access_) return false;  // activating store ends the burst
-  } else if (u.op == MicroOp::kJalr) {
-    write_reg(u.rd, pc_ + u.len);
-    pc_ = bo.fold_val;
-    ++stall_;
-    ++instret_;
-  } else {  // kFoldBranch
-    if (bo.fold_val != 0) {
-      pc_ += u.imm;
-      ++stall_;
-    } else {
-      pc_ += u.len;
-    }
-    ++instret_;
-  }
-  if (stall_ > 0) {
-    const std::uint64_t burn =
-        stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-    cycles_ += burn;
-    budget -= burn;
-    r.cycles += burn;
-    stall_ -= static_cast<unsigned>(burn);
-    if (stall_ > 0) return false;  // budget exhausted mid-stall
-  }
-  return true;
-}
-
 // Flattening inlines the retire helpers and the exec_alu switch into the
 // dispatch loop — the per-op call overhead is the dominant simulator cost
 // on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
@@ -1046,12 +786,7 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       const BlockOp* bo = &blk.ops[seg.first];
       for (std::uint32_t n = seg.count; n != 0; --n, ++bo) {
         if (bo->fuse == kFuseNone) {
-          if (bo->fold == kFoldValue) {
-            write_reg(bo->a.rd, bo->fold_val);
-            ++st.folded_exec;
-          } else {
-            exec_alu(bo->a);
-          }
+          exec_alu(bo->a);
         } else {  // kFuseLuiAddi: both destinations are precomputed
           write_reg(bo->a.rd, bo->a.imm);
           write_reg(bo->b.rd, bo->fused_imm);
@@ -1073,12 +808,7 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       if (budget == 0) return false;
       switch (bo.fuse) {
         case kFuseNone:
-          if (fuse_fast && bo.fold != kFoldNone) {
-            ++st.folded_exec;
-            if (!retire_folded(bo, budget, r)) return false;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-          }
+          if (!retire_half(bo.a, budget, r)) return false;
           // A store that invalidated cached code (possibly this block)
           // bumps the generation: stop and re-resolve from pc_.
           if (bo.a.op >= MicroOp::kSb && bo.a.op <= MicroOp::kSw &&

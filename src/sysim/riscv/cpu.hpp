@@ -53,13 +53,6 @@ struct CpuConfig {
   /// (false) and legacy_decode both remain as differential oracles —
   /// all three tiers are bit-identical.
   bool block_tier = block_tier_env_default();
-  /// Constant-folding pass over freshly built blocks: known register
-  /// constants (lui / resolved-auipc / addi chains) propagate forward,
-  /// precomputing ALU results, load/store effective addresses, and
-  /// statically-decided branch directions into BlockOp fold slots.
-  /// Timing is untouched — folds only skip host-side work — and results
-  /// stay bit-identical with the pass off (ASPEN_BLOCK_CONSTFOLD=0).
-  bool block_constfold = block_constfold_env_default();
 };
 
 enum class Halt {
@@ -229,12 +222,6 @@ class Cpu final : public BusWriteObserver {
   /// guarantees budget >= 1. Returns false when the block/burst must
   /// stop after this op.
   bool retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
-  /// retire_half shape for a constant-folded op: identical cycle, stall,
-  /// instret, and pc bookkeeping, but the precomputed fold result stands
-  /// in for the register reads / ALU work / address computation. Caller
-  /// guarantees budget >= 1 and that folds are valid (no register faults
-  /// armed, zero fetch latency).
-  bool retire_folded(const BlockOp& bo, std::uint64_t& budget, BurstResult& r);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
   /// no cycle/stall/pc bookkeeping — callers account for those. Shared
   /// by retire_half and exec_block's static runs.
