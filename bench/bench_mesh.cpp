@@ -1,9 +1,11 @@
 // Mesh micro-benchmarks: the hot loops behind every experiment harness —
 // single-phase set_phase + transfer (the column-factored cache's O(N^2)
-// incremental path vs the from-scratch rebuild), in-situ calibration at
-// 8/16/32 ports, and batched vs looped MVM. Standalone (chrono-based, no
-// external benchmark dependency) so it always builds; emits the rows both
-// as a table and as machine-readable BENCH_mesh.json for CI artifacts.
+// incremental path vs the from-scratch rebuild), in-situ calibration and
+// the programming-path linear algebra (Haar sampling, SVD, Clements
+// decomposition) at 8/16/32 ports, and batched vs looped MVM.
+// Standalone (chrono-based, no external benchmark dependency) so it
+// always builds; emits the rows both as a table and as machine-readable
+// BENCH_mesh.json for CI artifacts.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +13,7 @@
 #include "bench_util.hpp"
 #include "core/mvm_engine.hpp"
 #include "lina/random.hpp"
+#include "lina/svd.hpp"
 #include "mesh/calibrate.hpp"
 #include "mesh/decompose.hpp"
 #include "mesh/physical_mesh.hpp"
@@ -93,6 +96,20 @@ void bench_calibrate(std::size_t n) {
       0.5);
 }
 
+void bench_decompose(std::size_t n) {
+  // The math behind every weight programming: sample a Haar unitary,
+  // factor a Ginibre matrix (set_matrix's SVD) and decompose a unitary
+  // into Clements phases.
+  lina::Rng rng(300 + n);
+  const lina::CMat m = lina::ginibre(n, n, rng);
+  const lina::CMat u = lina::haar_unitary(n, rng);
+  const int ports = static_cast<int>(n);
+  record("haar_unitary", ports, [&] { (void)lina::haar_unitary(n, rng); });
+  record("svd", ports, [&] { (void)lina::svd(m); });
+  record("clements_decompose", ports,
+         [&] { (void)mesh::clements_decompose(u); });
+}
+
 void bench_mvm(std::size_t n, std::size_t batch) {
   core::MvmConfig cfg;
   cfg.ports = n;
@@ -128,12 +145,14 @@ void bench_mvm(std::size_t n, std::size_t batch) {
 }  // namespace
 
 int main() {
-  bench::header("BENCH mesh — transfer cache / calibration / batched MVM",
+  bench::header("BENCH mesh — transfer cache / calibration / decomposition / "
+                "batched MVM",
                 "in-situ programming and MVM scheduling are the paper's "
                 "core loops; this tracks their cost per PR");
 
   for (std::size_t n : {8, 16, 32}) bench_transfer(n);
   for (std::size_t n : {8, 16, 32}) bench_calibrate(n);
+  for (std::size_t n : {8, 16, 32}) bench_decompose(n);
   bench_mvm(16, 64);
 
   bench::json_report("BENCH_mesh.json", rows);

@@ -10,8 +10,9 @@
 /// cache honest: every store/DMA/fault-flip invalidation call also
 /// evicts overlapping blocks, and a generation counter lets the
 /// executor notice when the block it is running was invalidated under
-/// its feet (self-modifying code). Results are bit-identical to the
-/// uop-at-a-time path and to the legacy decode-every-fetch interpreter.
+/// its feet (self-modifying code). Results are bit-identical to
+/// single-stepping the same code and to the legacy decode-every-fetch
+/// interpreter.
 
 #include <cstdint>
 #include <vector>
@@ -222,10 +223,5 @@ class BlockCache {
   std::uint64_t gen_ = 0;
   BlockStats stats_;
 };
-
-/// Default for CpuConfig::block_tier: enabled unless the environment
-/// sets ASPEN_BLOCK_TIER=0 (the CI matrix leg that re-runs the whole
-/// suite on the uop-at-a-time path).
-[[nodiscard]] bool block_tier_env_default();
 
 }  // namespace aspen::sys::rv

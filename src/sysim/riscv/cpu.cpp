@@ -276,38 +276,6 @@ void Cpu::skip_cycles(std::uint64_t n) {
   stall_ -= burn;
 }
 
-Cpu::BurstResult Cpu::run_burst(std::uint64_t budget) {
-  if (cfg_.block_tier) return run_burst_blocks(budget);
-  BurstResult r;
-  // The interrupt line is low for the whole window (caller-guaranteed),
-  // so MEIP stays clear and no asynchronous trap can fire: the per-tick
-  // irq/WFI/trap prologue reduces to this one mip update.
-  mip_ &= ~kMeip;
-  // bus_access_ latches only on burst-ending events (activating writes,
-  // slow fetches, faults), so one reset serves the whole burst.
-  bus_access_ = false;
-  while (budget > 0) {
-    ++cycles_;
-    --budget;
-    ++r.cycles;
-    step();
-    if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
-      r.bus_access = bus_access_;
-      break;
-    }
-    if (stall_ > 0) {
-      const std::uint64_t burn =
-          stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-      cycles_ += burn;
-      budget -= burn;
-      r.cycles += burn;
-      stall_ -= static_cast<unsigned>(burn);
-      if (stall_ > 0) break;  // budget exhausted mid-stall
-    }
-  }
-  return r;
-}
-
 // ------------------------------------------------- block translation tier
 
 bool Cpu::build_block(Block& blk, std::uint32_t start) {
@@ -724,7 +692,7 @@ bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
     ++instret_;
     pc_ += u.len;
     // Activating store: exit before the stall burn, exactly like the
-    // uop burst loop (its remaining stall drains via skip_cycles).
+    // single-step fallback (its remaining stall drains via skip_cycles).
     if (bus_access_) return false;
     break;
   }
@@ -874,11 +842,13 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
   return true;
 }
 
-Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
+Cpu::BurstResult Cpu::run_burst(std::uint64_t budget) {
   BurstResult r;
-  // Same entry contract as the uop-at-a-time burst: interrupt line low
-  // for the whole window, so the per-tick prologue reduces to one mip
-  // update; bus_access_ latches only on burst-ending events.
+  // The interrupt line is low for the whole window (caller-guaranteed),
+  // so MEIP stays clear and no asynchronous trap can fire: the per-tick
+  // irq/WFI/trap prologue reduces to this one mip update. bus_access_
+  // latches only on burst-ending events (activating writes, slow
+  // fetches, faults), so one reset serves the whole burst.
   mip_ &= ~kMeip;
   bus_access_ = false;
   BlockStats& st = blocks_.stats();
@@ -889,8 +859,7 @@ Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
     // Blocks execute without re-touching the fetch window, so dispatch
     // requires the window to still cover pc_. When it is gone (revoked
     // spans under memory stuck-at faults, MMIO-resident code), fall
-    // back to step(), which takes the slow bus fetch exactly like the
-    // uop path.
+    // back to step(), which takes the slow bus fetch.
     if ((pc_ & 1u) == 0 && covers(win_[0], pc_, 2) &&
         win_[0].data != nullptr) {
       if (prev != nullptr) {
@@ -919,7 +888,8 @@ Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
       }
     }
     if (blk == nullptr) {
-      // Single-step fallback: one exact run_burst iteration.
+      // Single-step fallback: one instruction through step(), then its
+      // stall burned within the budget.
       prev = nullptr;
       ++st.fallback_steps;
       ++cycles_;

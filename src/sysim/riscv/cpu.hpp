@@ -15,16 +15,21 @@
 ///    bit flips and permanent stuck-at bits) for the gem5-MARVEL-style
 ///    reliability campaigns.
 ///
-/// Execution core: each fetched word is decoded once into a compact
-/// micro-op (dense handler tag + pre-extracted fields) stored in a
-/// direct-mapped cache keyed by PC, and dispatched through a dense switch
-/// in step(). Fetch/load/store to DRAM resolve through a raw-span fast
-/// path (Bus::direct_window) instead of the virtual BusDevice call. DRAM
-/// stores — from this CPU, the DMA engine, the host, or injected faults —
-/// invalidate overlapping cache entries, so self-modifying code and
-/// fault flips behave exactly like the decode-every-fetch interpreter,
-/// which remains available via CpuConfig::legacy_decode for differential
-/// testing. Cycle counts are bit-identical between the two paths.
+/// Execution core, two paths. Production: run_burst() dispatches
+/// translated basic blocks (block_cache.hpp) while every device is idle;
+/// tick() executes one instruction through step(), whose micro-ops
+/// (dense handler tag + pre-extracted fields) are decoded once into a
+/// direct-mapped cache keyed by PC — it serves the cycles the system
+/// must step one by one (busy devices, armed watchdogs) and the block
+/// tier's single-step fallback. Fetch/load/store to DRAM resolve through
+/// a raw-span fast path (Bus::direct_window) instead of the virtual
+/// BusDevice call. DRAM stores — from this CPU, the DMA engine, the
+/// host, or injected faults — invalidate overlapping micro-ops and
+/// blocks, so self-modifying code and fault flips behave exactly like
+/// the reference path. Reference: CpuConfig::legacy_decode, a
+/// decode-every-fetch interpreter ticked once per cycle, kept as the
+/// independent oracle for differential testing. Cycle counts are
+/// bit-identical between the two paths.
 
 #include <array>
 #include <cstdint>
@@ -43,16 +48,12 @@ struct CpuConfig {
   /// instruction memory / perfect i-cache (fetch overlapped with
   /// execute); data accesses always pay the full bus + device latency.
   unsigned fetch_latency = 0;
-  /// Use the seed's decode-every-fetch interpreter instead of the
-  /// predecoded micro-op cache + DRAM fast path. Kept for differential
-  /// testing and before/after benchmarking; results are bit-identical.
+  /// Select the reference path: the decode-every-fetch interpreter,
+  /// with System::run_until() ticking every cycle (no bursts, no bulk
+  /// idle skips). Kept as the oracle for differential testing and
+  /// before/after benchmarking; results are bit-identical to the
+  /// production path (false).
   bool legacy_decode = false;
-  /// Basic-block translation tier inside run_burst(): straight-line
-  /// runs decode once into chained, macro-op-fused blocks. Defaults on
-  /// (override with ASPEN_BLOCK_TIER=0); the uop-at-a-time path
-  /// (false) and legacy_decode both remain as differential oracles —
-  /// all three tiers are bit-identical.
-  bool block_tier = block_tier_env_default();
 };
 
 enum class Halt {
@@ -82,16 +83,19 @@ class Cpu final : public BusWriteObserver {
     bool bus_access = false;   ///< last instruction reached the bus (MMIO)
   };
   /// Execute instructions back-to-back for up to `budget` (>= 1) cycles,
-  /// bypassing the per-cycle System loop. Caller guarantees: not halted,
-  /// not in WFI, no pending stall, the external interrupt line low and
-  /// unable to rise for the window (all devices idle), and the
-  /// predecoded engine active. Exits early when the CPU halts, parks on
-  /// WFI, or an instruction performs an activating MMIO write, a slow
-  /// fetch, or a faulting access — the caller must then run the device
-  /// phase of that final cycle, since the write may have started a
-  /// device. Pure MMIO reads and passive stores (SPM data, DMA
-  /// descriptors) do not end the burst. Architectural state evolves
-  /// exactly as under per-cycle tick().
+  /// bypassing the per-cycle System loop: dispatch translated blocks
+  /// (chain -> lookup -> build), falling back to single step()
+  /// iterations whenever a block cannot be used (MMIO-resident code,
+  /// revoked fetch window, mid-pair resume points). Caller guarantees:
+  /// not halted, not in WFI, no pending stall, the external interrupt
+  /// line low and unable to rise for the window (all devices idle), and
+  /// the production path selected (legacy_decode off). Exits early when
+  /// the CPU halts, parks on WFI, or an instruction performs an
+  /// activating MMIO write, a slow fetch, or a faulting access — the
+  /// caller must then run the device phase of that final cycle, since
+  /// the write may have started a device. Pure MMIO reads and passive
+  /// stores (SPM data, DMA descriptors) do not end the burst.
+  /// Architectural state evolves exactly as under per-cycle tick().
   BurstResult run_burst(std::uint64_t budget);
 
   [[nodiscard]] bool halted() const { return halt_ != Halt::kRunning; }
@@ -170,12 +174,10 @@ class Cpu final : public BusWriteObserver {
   void publish_store_spans();
 
   /// Block-tier diagnostics (blocks built, chained dispatches, fused
-  /// pairs, evictions, hit rate). All zero when the tier is off.
+  /// pairs, evictions, hit rate). All zero on the reference path, which
+  /// never bursts.
   [[nodiscard]] const BlockStats& block_stats() const {
     return blocks_.stats();
-  }
-  [[nodiscard]] bool block_tier_active() const {
-    return cfg_.block_tier && !cfg_.legacy_decode;
   }
 
  private:
@@ -193,32 +195,27 @@ class Cpu final : public BusWriteObserver {
   [[nodiscard]] static MicroOp decode(std::uint32_t inst);
   /// Expand a 16-bit RV32C halfword ((h & 3) != 3) into its full-width
   /// RV32I/M equivalent encoding; reserved/unsupported forms expand to 0
-  /// (a guaranteed-illegal word). Shared by every tier so compressed
-  /// forms execute identically on all three.
+  /// (a guaranteed-illegal word). Shared by both paths so compressed
+  /// forms execute identically everywhere.
   [[nodiscard]] static std::uint32_t rvc_expand(std::uint16_t h);
   /// Fetch (icache / DRAM fast path / bus fallback) and dispatch one
   /// instruction.
   void step();
   void exec_op(const MicroOp& u);
   // -- Block translation tier ----------------------------------------------
-  /// run_burst() body when cfg.block_tier is on: dispatch translated
-  /// blocks (chain -> lookup -> build), falling back to single-step
-  /// step() iterations whenever a block cannot be used (MMIO-resident
-  /// code, revoked fetch window, mid-pair resume points).
-  BurstResult run_burst_blocks(std::uint64_t budget);
   /// Decode the straight-line run at `start` through the fetch window
   /// into `blk` (with the fusion peephole). False when no instruction
   /// could be read; the block is left invalid.
   bool build_block(Block& blk, std::uint32_t start);
   /// Execute blk's ops with per-op cycle/instret/stall bookkeeping
-  /// identical to a run_burst iteration. Returns true when every op
+  /// identical to single-stepping them. Returns true when every op
   /// retired (pc_ is at a block successor); false when the block or
   /// burst must stop early (budget/stall exhaustion, bus event, halt,
   /// WFI, or the block was invalidated by one of its own stores).
   bool exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
                   std::uint64_t gen0);
-  /// One micro-op through the exact run_burst iteration shape (cycle
-  /// and budget consumption, fetch stall, exec, stall burn). Caller
+  /// One micro-op through the exact single-step shape (cycle and
+  /// budget consumption, fetch stall, exec, stall burn). Caller
   /// guarantees budget >= 1. Returns false when the block/burst must
   /// stop after this op.
   bool retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
@@ -296,7 +293,7 @@ class Cpu final : public BusWriteObserver {
   /// [t, t+4)) for cheap store-invalidation rejects; exact at both
   /// edges, including half-word-aligned tags.
   ByteExtent icache_ext_;
-  BlockCache blocks_;  ///< basic-block translation tier (cfg.block_tier)
+  BlockCache blocks_;  ///< basic-block translation tier (run_burst)
 
   // Machine CSRs.
   std::uint32_t mstatus_ = 0;

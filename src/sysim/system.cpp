@@ -116,7 +116,6 @@ bool System::can_burst() const {
   // The CPU may free-run only while no device event can preempt it:
   // every device idle with its interrupt line low (so the line cannot
   // rise mid-burst), and the CPU itself ready to issue.
-  if (cfg_.cpu.legacy_decode) return false;
   if (dma_->busy() || dma_->irq_pending()) return false;
   for (const auto& pe : pes_)
     if (pe->busy() || pe->irq_pending() || pe->watchdog_armed()) return false;
@@ -124,7 +123,7 @@ bool System::can_burst() const {
 }
 
 void System::run_until(std::uint64_t target) {
-  if (!cfg_.event_driven) {
+  if (cfg_.cpu.legacy_decode) {
     while (!cpu_->halted() && cycle_ < target) tick();
     return;
   }

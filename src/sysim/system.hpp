@@ -5,11 +5,13 @@
 /// interrupt lines from DMA and every PE OR-ed into the CPU's external
 /// interrupt. Synchronous cycle stepping: every tick advances the CPU and
 /// all devices by one system clock cycle. run()/run_until() are
-/// event-driven by default: stretches where no component does visible
-/// work — the CPU stalled on a memory/multiplier latency or parked in
-/// WFI, the DMA engine quiescent, PEs counting down their optical
-/// busy time — are skipped in bulk via the per-component skip_cycles()
-/// hooks, at bit-identical cycle counts to per-cycle ticking.
+/// event-driven on the production CPU path: stretches where no component
+/// does visible work — the CPU stalled on a memory/multiplier latency or
+/// parked in WFI, the DMA engine quiescent, PEs counting down their
+/// optical busy time — are skipped in bulk via the per-component
+/// skip_cycles() hooks, and the CPU free-runs blocks while every device
+/// is idle, at bit-identical cycle counts to per-cycle ticking. With
+/// cfg.cpu.legacy_decode (the reference path) they tick every cycle.
 ///
 /// Address map:
 ///   0x8000_0000  DRAM (code + data)
@@ -40,10 +42,6 @@ struct SystemConfig {
   AcceleratorConfig accel;  ///< configuration shared by all PEs
   rv::CpuConfig cpu;
   std::uint64_t max_cycles = 200'000'000ULL;
-  /// Skip idle stretches in bulk inside run()/run_until(). Per-cycle
-  /// ticking (false) is kept for differential testing and benchmarking;
-  /// results are bit-identical either way.
-  bool event_driven = true;
 };
 
 class System {
@@ -60,7 +58,7 @@ class System {
   void tick();
 
   /// Advance until the CPU halts or the absolute cycle `target` is
-  /// reached — event-driven unless cfg.event_driven is false. This is
+  /// reached — event-driven unless cfg.cpu.legacy_decode is set. This is
   /// the exact-cycle entry point fault campaigns use to hit their
   /// injection points: on return (unless halted) now() == target.
   void run_until(std::uint64_t target);

@@ -1,11 +1,14 @@
 // Differential suite for the event-driven sysim rebuild: every workload
 // program plus interrupt/WFI, self-modifying-code and fault-injection
-// scenarios run through ALL THREE execution tiers —
+// scenarios run through three execution legs —
 //   legacy: decode-every-fetch interpreter + per-cycle System ticking
-//   uop:    predecoded micro-op cache + DRAM fast path + bulk cycle
-//           skipping
-//   block:  basic-block translation (block cache, chaining, macro-op
-//           fusion) on top of the uop engine
+//           (CpuConfig::legacy_decode, the reference path)
+//   tick:   the production CPU driven per cycle through System::tick()
+//           by this harness, so every instruction goes through step()
+//           and its predecoded micro-op cache
+//   block:  the production configuration as System::run_until() runs
+//           it (basic-block bursts with chaining and macro-op fusion,
+//           bulk idle skips)
 // — asserting bit-identical cycles, instret, halt reason, exit code,
 // final register file and final DRAM image. This is the contract that
 // lets the fault campaigns trust the optimized simulator.
@@ -31,28 +34,40 @@ std::vector<std::int16_t> random_fixed(std::size_t count, std::uint64_t seed) {
   return v;
 }
 
-/// Execution tiers under differential test. The per-cycle interpreter
-/// is the oracle; the uop-at-a-time engine and the block translation
-/// tier built on top of it must both match it bit for bit.
-enum class Tier { kLegacy, kUop, kBlock };
+/// Execution legs under differential test. The legacy reference is the
+/// oracle; the production CPU must match it both per cycle (kTick) and
+/// event-driven (kBlock).
+enum class Tier { kLegacy, kTick, kBlock };
 
-constexpr Tier kFastTiers[] = {Tier::kUop, Tier::kBlock};
+constexpr Tier kFastTiers[] = {Tier::kTick, Tier::kBlock};
 
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kLegacy: return "legacy";
-    case Tier::kUop: return "uop";
+    case Tier::kTick: return "tick";
     default: return "block";
   }
 }
 
 SystemConfig with_tier(SystemConfig sc, Tier t) {
-  sc.event_driven = t != Tier::kLegacy;
   sc.cpu.legacy_decode = t == Tier::kLegacy;
-  // Explicit on both fast tiers: the default tracks ASPEN_BLOCK_TIER,
-  // and this suite must pin all three tiers regardless of environment.
-  sc.cpu.block_tier = t == Tier::kBlock;
   return sc;
+}
+
+/// Advance `system` to the absolute cycle `target` (or halt) the way
+/// `tier` runs: the tick leg steps System::tick() itself, the other two
+/// go through System::run_until().
+void advance(System& system, Tier tier, std::uint64_t target) {
+  if (tier != Tier::kTick) {
+    system.run_until(target);
+    return;
+  }
+  while (!system.cpu().halted() && system.now() < target) system.tick();
+}
+
+/// advance() to the configured cycle limit, like System::run().
+void advance(System& system, Tier tier) {
+  advance(system, tier, system.config().max_cycles);
 }
 
 /// Everything architecturally observable after a run (bstats is
@@ -65,7 +80,8 @@ struct Capture {
   BlockStats bstats;
 };
 
-/// Everything a trial can observe, captured from a live system.
+/// Everything a trial can observe, captured from a live system (the
+/// result fields read exactly as System::run() reports them).
 Capture capture_state(System& system) {
   Capture c;
   c.result.cycles = system.cpu().cycles();
@@ -88,10 +104,8 @@ Capture run_tier(const SystemConfig& sc_base, Tier tier,
   System system(with_tier(sc_base, tier));
   if (stage) stage(system);
   system.load_program(program);
-  const System::RunResult result = system.run();
-  Capture c = capture_state(system);
-  c.result = result;
-  return c;
+  advance(system, tier);
+  return capture_state(system);
 }
 
 void expect_identical(const Capture& legacy, const Capture& fast,
@@ -118,18 +132,19 @@ void diff_program(const SystemConfig& sc,
   }
 }
 
-/// Drive a fresh system per tier through an arbitrary scenario (mid-run
-/// injections, staged runs), diff both fast tiers against legacy, and
-/// return the block-tier capture for tier-specific assertions.
+/// Drive a fresh system per leg through an arbitrary scenario (mid-run
+/// injections, staged runs; `drive` advances through advance() with the
+/// leg it is given), diff both production legs against legacy, and
+/// return the block-leg capture for tier-specific assertions.
 Capture diff_drive(const SystemConfig& sc, const char* what,
-                   const std::function<void(System&)>& drive) {
+                   const std::function<void(System&, Tier)>& drive) {
   System legacy_sys(with_tier(sc, Tier::kLegacy));
-  drive(legacy_sys);
+  drive(legacy_sys, Tier::kLegacy);
   const Capture legacy = capture_state(legacy_sys);
   Capture block;
   for (const Tier tier : kFastTiers) {
     System system(with_tier(sc, tier));
-    drive(system);
+    drive(system, tier);
     Capture c = capture_state(system);
     expect_identical(
         legacy, c,
@@ -443,9 +458,9 @@ TEST(SysimDiffTest, SmcPatchesMiddleOfChainedHotLoop) {
   }
 
   const Capture block = diff_drive(sc, "smc chained hot loop",
-                                   [&](System& system) {
+                                   [&](System& system, Tier tier) {
                                      system.load_program(program);
-                                     system.run();
+                                     advance(system, tier);
                                    });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[10], 77u) << "patched instruction must execute";
@@ -510,10 +525,10 @@ TEST(SysimDiffTest, DmaOverwritesCachedBlock) {
     s.write_dram(0x10000, bytes, 4);
   };
   const Capture block = diff_drive(sc, "dma overwrites cached block",
-                                   [&](System& system) {
+                                   [&](System& system, Tier tier) {
                                      stage(system);
                                      system.load_program(program);
-                                     system.run();
+                                     advance(system, tier);
                                    });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[10], 77u)
@@ -540,12 +555,12 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
   ASSERT_EQ(as.address_of("loop"), sc.dram_base + 8);
 
   const Capture block =
-      diff_drive(sc, "flip inside fused pair", [&](System& system) {
+      diff_drive(sc, "flip inside fused pair", [&](System& system, Tier tier) {
         system.load_program(program);
-        system.run_until(100);  // loop is hot, pair is fused
+        advance(system, tier, 100);  // loop is hot, pair is fused
         // Flip imm[4] of the addi half (code byte 15, bit 0).
         system.dram().flip_bit(15, 0);
-        system.run_until(500000);
+        advance(system, tier, 500000);
       });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[10], 0x12345668u)
@@ -558,7 +573,7 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
 
 TEST(SysimDiffTest, RvcDenseLoop) {
   // The compressed workload: mixed 2/4-byte fetch through all three
-  // tiers, bit-identical, with the block tier demonstrating the fetch
+  // legs, bit-identical, with the block tier demonstrating the fetch
   // traffic reduction through its counters.
   SystemConfig sc;
   sc.accel = small_accel();
@@ -568,11 +583,12 @@ TEST(SysimDiffTest, RvcDenseLoop) {
     data[i] = 0x9E3779B9u * (i + 1);  // deterministic scramble input
   const auto program = build_rvc_loop(sc, 0x40000, 0x48000, kWords);
 
-  const Capture block = diff_drive(sc, "rvc dense loop", [&](System& system) {
-    system.write_dram(0x40000, data.data(), data.size() * 4);
-    system.load_program(program);
-    system.run();
-  });
+  const Capture block =
+      diff_drive(sc, "rvc dense loop", [&](System& system, Tier tier) {
+        system.write_dram(0x40000, data.data(), data.size() * 4);
+        system.load_program(program);
+        advance(system, tier);
+      });
   EXPECT_EQ(block.result.halt, Halt::kEcallExit);
   EXPECT_EQ(block.result.exit_code, 0);
   EXPECT_GT(block.bstats.rvc_built, 0u);
@@ -609,9 +625,9 @@ TEST(SysimDiffTest, MisaAndMisalignedFetchTrap) {
   }
 
   const Capture block =
-      diff_drive(sc, "misa + misaligned fetch", [&](System& system) {
+      diff_drive(sc, "misa + misaligned fetch", [&](System& system, Tier tier) {
         system.load_program(program);
-        system.run();
+        advance(system, tier);
       });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[11], 0x40001104u) << "misa: MXL=1 + I, M, C";
@@ -656,9 +672,9 @@ TEST(SysimDiffTest, StoreOverwritesAdjacentCompressedPair) {
   }
 
   const Capture block = diff_drive(sc, "store over compressed pair",
-                                   [&](System& system) {
+                                   [&](System& system, Tier tier) {
                                      system.load_program(program);
-                                     system.run();
+                                     advance(system, tier);
                                    });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[10], 77u)
@@ -708,9 +724,9 @@ TEST(SysimDiffTest, SmcPatchesHalfOfWideInstructionAtBlockTail) {
   }
 
   const Capture block = diff_drive(sc, "smc patches half of wide op",
-                                   [&](System& system) {
+                                   [&](System& system, Tier tier) {
                                      system.load_program(program);
-                                     system.run();
+                                     advance(system, tier);
                                    });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[10], 77u) << "half-patched instruction must execute";
@@ -743,13 +759,14 @@ TEST(SysimDiffTest, InstructionStraddlesWindowEdge) {
   const auto program = as.assemble();
 
   const Capture block =
-      diff_drive(sc, "instruction straddles window edge", [&](System& system) {
-        // Only the first 6 bytes fit: the straddling word's upper
-        // parcel has no backing memory.
-        system.write_dram(sc.dram_size - 6, tail_bytes, 6);
-        system.load_program(program);
-        system.run();
-      });
+      diff_drive(sc, "instruction straddles window edge",
+                 [&](System& system, Tier tier) {
+                   // Only the first 6 bytes fit: the straddling word's
+                   // upper parcel has no backing memory.
+                   system.write_dram(sc.dram_size - 6, tail_bytes, 6);
+                   system.load_program(program);
+                   advance(system, tier);
+                 });
   EXPECT_EQ(block.result.halt, Halt::kBusFault);
   EXPECT_EQ(block.regs[10], 3u)
       << "both compressed adds must retire before the faulting fetch";
@@ -776,13 +793,13 @@ TEST(SysimDiffTest, FaultFlipInsideHotChain) {
   ASSERT_EQ(as.address_of("loop"), sc.dram_base + 8);
 
   const Capture block =
-      diff_drive(sc, "flip inside hot chain", [&](System& system) {
+      diff_drive(sc, "flip inside hot chain", [&](System& system, Tier tier) {
         system.load_program(program);
-        system.run_until(100);  // loop is hot, chain is translated
+        advance(system, tier, 100);  // loop is hot, chain is translated
         // Flip imm[4] of the chained addi (code byte 19, bit 0):
         // 0x10 -> 0, so the rebuilt block yields a1 = const + 0.
         system.dram().flip_bit(19, 0);
-        system.run_until(500000);
+        advance(system, tier, 500000);
       });
   EXPECT_EQ(block.result.halt, Halt::kEbreak);
   EXPECT_EQ(block.regs[11], 0x12345678u)
@@ -819,10 +836,10 @@ TEST_P(DiffFaultTest, InjectedRunsIdentical) {
   const FaultSpec& spec = GetParam().spec;
   constexpr std::uint64_t kMax = 500000;
 
-  diff_drive(sc, GetParam().what, [&](System& system) {
+  diff_drive(sc, GetParam().what, [&](System& system, Tier tier) {
     stage(system);
     system.load_program(program);
-    system.run_until(std::min<std::uint64_t>(spec.cycle, kMax));
+    advance(system, tier, std::min<std::uint64_t>(spec.cycle, kMax));
     switch (spec.target) {
       case FaultTarget::kCpuRegfile:
         if (spec.model == FaultModel::kTransientFlip)
@@ -846,7 +863,7 @@ TEST_P(DiffFaultTest, InjectedRunsIdentical) {
         system.pe(0).inject_phase_fault(spec.index, spec.phase_delta_rad);
         break;
     }
-    system.run_until(kMax);
+    advance(system, tier, kMax);
   });
 }
 
@@ -903,14 +920,14 @@ TEST(SysimDiffTest, StuckArmThenClearMidRun) {
   const auto stage = gemm_stager(wl, 371);
   const auto program = build_gemm_software(wl, sc);
 
-  diff_drive(sc, "stuck arm + clear mid-run", [&](System& system) {
+  diff_drive(sc, "stuck arm + clear mid-run", [&](System& system, Tier tier) {
     stage(system);
     system.load_program(program);
-    system.run_until(300);
+    advance(system, tier, 300);
     system.dram().set_stuck_bit(16, 1, true);  // code region
-    system.run_until(600);
+    advance(system, tier, 600);
     system.dram().clear_faults();
-    system.run_until(500000);
+    advance(system, tier, 500000);
   });
 }
 
@@ -1203,12 +1220,12 @@ TEST(SysimDiffTest, CampaignVerdictsIdentical) {
     return res;
   };
 
+  // FaultCampaign drives its systems through run_until() itself, so the
+  // harness-driven tick leg has no campaign form.
   const CampaignResult legacy = campaign_counts(Tier::kLegacy);
-  for (const Tier tier : kFastTiers) {
-    const CampaignResult fast = campaign_counts(tier);
-    EXPECT_EQ(legacy.total, fast.total) << tier_name(tier);
-    EXPECT_EQ(legacy.counts, fast.counts) << tier_name(tier);
-  }
+  const CampaignResult block = campaign_counts(Tier::kBlock);
+  EXPECT_EQ(legacy.total, block.total);
+  EXPECT_EQ(legacy.counts, block.counts);
 }
 
 }  // namespace
