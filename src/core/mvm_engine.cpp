@@ -97,7 +97,7 @@ void MvmEngine::set_matrix(const CMat& w) {
     t_phys_ = it->t_phys;
     gain_ = it->gain;
     fidelity_ = it->fidelity;
-    std::rotate(program_memo_.begin(), it, it + 1);  // keep MRU first
+    it->last_use = ++memo_clock_;
     ++memo_stats_.hits;
     account_programming();
     weights_clean_ = true;
@@ -132,15 +132,29 @@ void MvmEngine::set_matrix(const CMat& w) {
   weights_clean_ = true;
   refresh_transfer();
 
-  program_memo_.insert(
-      program_memo_.begin(),
-      ProgramMemo{w.raw(), drift, svd_, sigma_max_, attenuation_,
-                  mesh_u_->phases(), mesh_v_->phases(), t_phys_, gain_,
-                  fidelity_});
-  if (program_memo_.size() > kProgramMemoCap) {
-    program_memo_.pop_back();
+  // Record into a free slot, or at capacity overwrite the least recently
+  // used entry (lowest stamp) in place, reusing its buffers.
+  ProgramMemo* slot = nullptr;
+  if (program_memo_.size() < kProgramMemoCap) {
+    slot = &program_memo_.emplace_back();
+  } else {
+    slot = &*std::min_element(program_memo_.begin(), program_memo_.end(),
+                              [](const ProgramMemo& a, const ProgramMemo& b) {
+                                return a.last_use < b.last_use;
+                              });
     ++memo_stats_.evictions;
   }
+  slot->key = w.raw();
+  slot->drift_time_s = drift;
+  slot->svd = svd_;
+  slot->sigma_max = sigma_max_;
+  slot->attenuation = attenuation_;
+  slot->phases_u = mesh_u_->phases();
+  slot->phases_v = mesh_v_->phases();
+  slot->t_phys = t_phys_;
+  slot->gain = gain_;
+  slot->fidelity = fidelity_;
+  slot->last_use = ++memo_clock_;
 }
 
 void MvmEngine::compose_path_into(const CMat& tu, const CMat& tv,

@@ -244,6 +244,7 @@ class MvmEngine {
     lina::CMat t_phys;
     lina::cplx gain{1.0, 0.0};
     double fidelity = 0.0;
+    std::uint64_t last_use = 0;  ///< memo_clock_ at the last record/hit
   };
 
   MvmConfig cfg_;
@@ -265,7 +266,11 @@ class MvmEngine {
   lina::CMat batch_fields_;          ///< multiply_batch encode scratch
   mutable lina::CVec scratch_noiseless_;  ///< multiply_noiseless_into fields
   mutable lina::CMat scratch_noiseless_batch_;  ///< batch variant fields
-  std::vector<ProgramMemo> program_memo_;  ///< MRU-ordered, capped
+  /// Capped at kProgramMemoCap, in no particular order: LRU by stamp.
+  /// A hit restamps its entry; a miss at capacity overwrites the entry
+  /// with the lowest stamp. Nothing moves, so a hit costs no shuffling.
+  std::vector<ProgramMemo> program_memo_;
+  std::uint64_t memo_clock_ = 0;  ///< last stamp handed out
   MemoStats memo_stats_;
   /// True while the meshes hold exactly what the last set_matrix
   /// programmed (no phase perturbation / drift advance since): lets

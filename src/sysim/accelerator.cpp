@@ -145,6 +145,19 @@ std::int16_t spm_fixed_at(Memory& spm, const BusDevice::DirectSpan& span,
   return static_cast<std::int16_t>(
       spm.read(static_cast<std::uint32_t>(2 * elem), 2));
 }
+
+/// CRC-32 of the first `elems` Q3.12 elements as the compute unit sees
+/// them: the raw bytes while the span is exported, the fault-masked
+/// little-endian values otherwise.
+std::uint32_t spm_tile_crc(Memory& spm, const BusDevice::DirectSpan& span,
+                           std::size_t elems) {
+  if (span.data != nullptr) return crc32(span.data, 2 * elems);
+  std::uint32_t crc = kCrc32Init;
+  for (std::size_t e = 0; e < elems; ++e)
+    crc = crc32_le16(crc,
+                     static_cast<std::uint16_t>(spm_fixed_at(spm, span, e)));
+  return crc ^ kCrc32FinalXor;
+}
 }  // namespace
 
 void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
@@ -158,38 +171,34 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
   bool aborted = false;
 
   if (ctrl & kCtrlLoadWeights) {
-    CMat w(n, n);
     const BusDevice::DirectSpan ws = spm_w_.direct_span();
-    std::uint32_t crc = kCrc32Init;
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c) {
-        const std::int16_t fixed = spm_fixed_at(spm_w_, ws, r * n + c);
-        crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
-        w(r, c) = cplx{from_fixed(fixed), 0.0};
-      }
-    if ((ctrl & kCtrlCrcW) && (crc ^ kCrc32FinalXor) != crc_w_expect_) {
+    if ((ctrl & kCtrlCrcW) &&
+        spm_tile_crc(spm_w_, ws, n * n) != crc_w_expect_) {
       latch_error(kErrCrcW);
       aborted = true;
     } else {
-      gemm_.set_weights(w);
+      scratch_w_.resize(n, n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+          scratch_w_(r, c) =
+              cplx{from_fixed(spm_fixed_at(spm_w_, ws, r * n + c)), 0.0};
+      gemm_.set_weights(scratch_w_);
       op_seconds += gemm_.engine().program_time_s();
     }
   }
 
   if ((ctrl & kCtrlStart) && !aborted) {
     const std::size_t m = cols_;
-    scratch_x_.resize(n, m);
     const BusDevice::DirectSpan xs = spm_x_.direct_span();
-    std::uint32_t crc = kCrc32Init;
-    for (std::size_t c = 0; c < m; ++c)
-      for (std::size_t r = 0; r < n; ++r) {
-        const std::int16_t fixed = spm_fixed_at(spm_x_, xs, c * n + r);
-        crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
-        scratch_x_(r, c) = cplx{from_fixed(fixed), 0.0};
-      }
-    if ((ctrl & kCtrlCrcX) && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
+    if ((ctrl & kCtrlCrcX) &&
+        spm_tile_crc(spm_x_, xs, n * m) != crc_x_expect_) {
       latch_error(kErrCrcX);
     } else {
+      scratch_x_.resize(n, m);
+      for (std::size_t c = 0; c < m; ++c)
+        for (std::size_t r = 0; r < n; ++r)
+          scratch_x_(r, c) =
+              cplx{from_fixed(spm_fixed_at(spm_x_, xs, c * n + r)), 0.0};
       if (cfg_.deterministic) {
         gemm_.multiply_noiseless(scratch_x_, scratch_y_);
       } else {

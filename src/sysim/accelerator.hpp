@@ -200,6 +200,7 @@ class PhotonicAccelerator final : public BusDevice {
   std::uint32_t crc_x_expect_ = 0;
   std::uint64_t watchdog_cycles_ = 0;  ///< 0 = disarmed
   // start_operation marshalling scratch (tiles stream through every op).
+  lina::CMat scratch_w_;
   lina::CMat scratch_x_;
   lina::CMat scratch_y_;
 };

@@ -19,8 +19,8 @@ constexpr std::size_t kScanBlock = 256;
 
 /// [lo, hi) span of the bytes where two equal-size images differ
 /// (lo == hi when they are identical).
-std::pair<std::size_t, std::size_t> diff_span(
-    const std::vector<std::uint8_t>& a, const std::vector<std::uint8_t>& b) {
+std::pair<std::size_t, std::size_t> diff_span(const ByteImage& a,
+                                              const ByteImage& b) {
   const std::size_t n = a.size();
   std::size_t lo = 0;
   while (lo + kScanBlock <= n &&

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sysim/bus.hpp"
+#include "sysim/page_allocator.hpp"
 
 namespace aspen::sys {
 
@@ -81,7 +82,7 @@ class Memory final : public BusDevice {
   };
   /// Full captured state: the byte image plus the armed stuck-at faults.
   struct Snapshot {
-    std::vector<std::uint8_t> bytes;
+    ByteImage bytes;
     std::vector<Stuck> stuck;
   };
   [[nodiscard]] Snapshot snapshot() const { return {bytes_, stuck_}; }
@@ -124,7 +125,7 @@ class Memory final : public BusDevice {
   }
 
   std::string name_;
-  std::vector<std::uint8_t> bytes_;
+  ByteImage bytes_;
   unsigned latency_;
   BusWriteObserver* observer_ = nullptr;
   std::vector<Stuck> stuck_;

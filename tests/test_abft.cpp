@@ -353,6 +353,147 @@ TEST(AcceleratorFaultTest, ErrorLatchDoesNotBlockSubsequentOps) {
   EXPECT_LE(max_err, 4);
 }
 
+// -------------------------------------------------------------- CRC-32
+
+/// The bitwise CRC-32 register fold: the reference for the table-driven
+/// production code.
+std::uint32_t crc32_bitwise(const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint32_t crc = kCrc32Init;
+  while (n-- > 0) {
+    crc ^= *p++;
+    for (int k = 0; k < 8; ++k)
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc ^ kCrc32FinalXor;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const char msg[] = "123456789";
+  EXPECT_EQ(crc32(msg, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32_bitwise(msg, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(msg, 0), 0u);
+}
+
+TEST(Crc32Test, TableMatchesBitwiseReferenceOnRandomBuffers) {
+  aspen::lina::Rng rng(2024);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    // Every start alignment of the slice-by-8 loop, at every length.
+    const std::size_t off = len % 8;
+    const std::uint8_t* p = buf.data() + off;
+    ASSERT_EQ(crc32(p, len), crc32_bitwise(p, len)) << "len " << len;
+  }
+  // Incremental folds (per byte, per LE16 element, split buffers) agree
+  // with the one-shot CRC.
+  std::uint32_t by_byte = kCrc32Init;
+  std::uint32_t by_le16 = kCrc32Init;
+  for (std::size_t i = 0; i < 4096; i += 2) {
+    by_byte = crc32_byte(crc32_byte(by_byte, buf[i]), buf[i + 1]);
+    by_le16 = crc32_le16(
+        by_le16, static_cast<std::uint16_t>(buf[i] | (buf[i + 1] << 8)));
+  }
+  const std::uint32_t split =
+      crc32_update(crc32_update(kCrc32Init, buf.data(), 1237),
+                   buf.data() + 1237, 4096 - 1237);
+  const std::uint32_t want = crc32_bitwise(buf.data(), 4096);
+  EXPECT_EQ(by_byte ^ kCrc32FinalXor, want);
+  EXPECT_EQ(by_le16 ^ kCrc32FinalXor, want);
+  EXPECT_EQ(split ^ kCrc32FinalXor, want);
+}
+
+TEST(AcceleratorFaultTest, CrcThroughStuckAtMaskMatchesReference) {
+  // With a stuck-at bit armed the SPMs export no direct span, so the
+  // device CRCs the fault-masked tile element by element. The check must
+  // see what the compute unit sees: the masked bytes, not the stored ones.
+  PA accel(accel_cfg());
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto a = random_fixed(wl.n * wl.n, 0.9, 16);
+  const auto x = random_fixed(wl.n * wl.m, 0.9, 17);
+  write_spm(accel, PA::kSpmWBase, a);
+  write_spm(accel, PA::kSpmXBase, x);
+  accel.write(PA::kRegCols, static_cast<std::uint32_t>(wl.m), 4);
+  // Stick one bit of W element 5 and X element 3 at the flipped value.
+  const auto stick = [](Memory& spm, std::uint32_t byte, unsigned bit) {
+    const bool stored = (spm.read(byte, 1) >> bit) & 1u;
+    spm.set_stuck_bit(byte, bit, !stored);
+  };
+  stick(accel.spm_w(), 2 * 5 + 1, 2);
+  stick(accel.spm_x(), 2 * 3, 6);
+  ASSERT_EQ(accel.spm_w().direct_span().data, nullptr);
+  ASSERT_EQ(accel.spm_x().direct_span().data, nullptr);
+
+  const auto masked = [&](std::uint32_t base, std::size_t elems) {
+    std::vector<std::uint8_t> bytes(2 * elems);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+      bytes[i] = static_cast<std::uint8_t>(
+          accel.read(base + static_cast<std::uint32_t>(i), 1));
+    return bytes;
+  };
+  const auto wm = masked(PA::kSpmWBase, a.size());
+  const auto xm = masked(PA::kSpmXBase, x.size());
+  ASSERT_NE(crc32_bitwise(wm.data(), wm.size()),
+            crc32_bitwise(a.data(), a.size() * 2));
+  ASSERT_NE(crc32_bitwise(xm.data(), xm.size()),
+            crc32_bitwise(x.data(), x.size() * 2));
+
+  // The stored-byte CRCs are stale under the mask: both checks fail.
+  accel.write(PA::kRegCrcW, crc32_bitwise(a.data(), a.size() * 2), 4);
+  accel.write(PA::kRegCtrl, PA::kCtrlLoadWeights | PA::kCtrlCrcW, 4);
+  run_to_idle(accel);
+  EXPECT_EQ(accel.read(PA::kRegErr, 4), PA::kErrCrcW);
+  accel.write(PA::kRegStatus, PA::kStatusDone | PA::kStatusError, 4);
+  accel.write(PA::kRegCrcX, crc32_bitwise(x.data(), x.size() * 2), 4);
+  accel.write(PA::kRegCtrl, PA::kCtrlStart | PA::kCtrlCrcX, 4);
+  run_to_idle(accel);
+  EXPECT_EQ(accel.read(PA::kRegErr, 4), PA::kErrCrcX);
+  accel.write(PA::kRegStatus, PA::kStatusDone | PA::kStatusError, 4);
+
+  // The reference CRCs of the masked tiles pass both checks.
+  accel.write(PA::kRegCrcW, crc32_bitwise(wm.data(), wm.size()), 4);
+  accel.write(PA::kRegCrcX, crc32_bitwise(xm.data(), xm.size()), 4);
+  accel.write(PA::kRegCtrl,
+              PA::kCtrlStart | PA::kCtrlLoadWeights | PA::kCtrlCrcW |
+                  PA::kCtrlCrcX,
+              4);
+  run_to_idle(accel);
+  EXPECT_FALSE(accel.error());
+  EXPECT_EQ(accel.read(PA::kRegErr, 4), 0u);
+}
+
+TEST(AcceleratorFaultTest, ClearCrcBitsIgnoreWrongExpectations) {
+  // CRC_W / CRC_X are consulted only under their CTRL bits: with both
+  // clear, wrong expectations neither abort nor latch anything.
+  PA accel(accel_cfg());
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto a = random_fixed(wl.n * wl.n, 0.9, 18);
+  const auto x = random_fixed(wl.n * wl.m, 0.9, 19);
+  write_spm(accel, PA::kSpmWBase, a);
+  write_spm(accel, PA::kSpmXBase, x);
+  accel.write(PA::kRegCols, static_cast<std::uint32_t>(wl.m), 4);
+  accel.write(PA::kRegCrcW, crc32(a.data(), a.size() * 2) ^ 1u, 4);
+  accel.write(PA::kRegCrcX, crc32(x.data(), x.size() * 2) ^ 1u, 4);
+  accel.write(PA::kRegCtrl, PA::kCtrlStart | PA::kCtrlLoadWeights, 4);
+  run_to_idle(accel);
+
+  EXPECT_FALSE(accel.error());
+  EXPECT_EQ(accel.read(PA::kRegErr, 4), 0u);
+  EXPECT_TRUE(accel.read(PA::kRegStatus, 4) & PA::kStatusDone);
+  const auto golden = golden_gemm(wl, a, x);
+  int max_err = 0;
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const auto got = static_cast<std::int16_t>(
+        accel.read(PA::kSpmYBase + static_cast<std::uint32_t>(2 * i), 2));
+    max_err = std::max(max_err, std::abs(got - golden[i]));
+  }
+  EXPECT_LE(max_err, 4);
+}
+
 TEST(AcceleratorFaultTest, OnDeviceAbftCountersExposedOverMmio) {
   PA accel(accel_cfg(true));
   GemmWorkload wl;

@@ -362,6 +362,39 @@ TEST(MvmEngineTest, MemoEvictionStillMatchesFreshEngine) {
   EXPECT_GT(eng.memo_stats().evictions, 0u);
 }
 
+TEST(MvmEngineTest, MemoEvictsLeastRecentlyUsed) {
+  // kProgramMemoCap + 1 distinct tiles with tile 0 touched after every
+  // insert: LRU order keeps tile 0 for good (FIFO would evict it on the
+  // first insert at capacity), and each later miss at capacity evicts
+  // the oldest untouched tile.
+  MvmConfig cfg;
+  cfg.ports = 4;
+  const std::size_t cap = MvmEngine::kProgramMemoCap;
+  const std::vector<CMat> tiles = random_tiles(cap + 1, 4, 101);
+  MvmEngine eng(cfg);
+  const MemoStats base = eng.memo_stats();  // the constructor's identity
+  eng.set_matrix(tiles[0]);
+  for (std::size_t i = 1; i <= cap; ++i) {
+    eng.set_matrix(tiles[i]);
+    eng.set_matrix(tiles[0]);
+  }
+  // The identity entry went first, then tile 1 at the cap + 1'th insert.
+  EXPECT_EQ(eng.memo_stats().hits - base.hits, cap);
+  EXPECT_EQ(eng.memo_stats().misses - base.misses, cap + 1);
+  EXPECT_EQ(eng.memo_stats().evictions - base.evictions, 2u);
+
+  eng.set_matrix(tiles[1]);  // miss: evicts tile 2, the oldest
+  eng.set_matrix(tiles[3]);  // hit: restamped, survives the next miss
+  eng.set_matrix(tiles[2]);  // miss: evicts tile 4
+  eng.set_matrix(tiles[0]);  // hit
+  eng.set_matrix(tiles[4]);  // miss: evicts tile 5
+  eng.set_matrix(tiles[3]);  // hit
+  eng.set_matrix(tiles[6]);  // hit: tile 6 was never evicted
+  EXPECT_EQ(eng.memo_stats().hits - base.hits, cap + 4);
+  EXPECT_EQ(eng.memo_stats().misses - base.misses, cap + 4);
+  EXPECT_EQ(eng.memo_stats().evictions - base.evictions, 5u);
+}
+
 TEST(MvmEngineTest, MemoKeysOnPcmDriftTime) {
   const MvmConfig cfg = pcm_die_config();
   const double t = 1e6;
