@@ -4,7 +4,7 @@
 // construction (DRAM allocation + SVD/Clements weight programming); the
 // snapshot/restore path stages the platform once and restores it per
 // trial (~a DRAM memcpy), FaultCampaign::run_trials shards the restored
-// trials across threads, and the checkpoint ladder + diff-based restore
+// trials across threads, and the checkpoint ladder + span-bounded restore
 // reuse the fault-free golden prefix so a trial injecting at cycle c no
 // longer re-simulates [0, c) from scratch. Process fan-out goes through
 // CampaignOrchestrator: shards stream to forked workers over pipes (no
@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
   bench::header(
       "BENCH campaign — checkpoint ladder + supervised worker-pool trials",
       "Sec.5 reliability campaigns need thousands of trials; this tracks "
-      "per-trial setup (construct vs restore vs diff-restore), golden-"
+      "per-trial setup (construct vs restore vs rung switch), golden-"
       "prefix reuse via the checkpoint ladder, and trials/sec scaling "
       "across threads and a supervised worker pool, with every "
       "accelerated path's verdicts asserted bit-identical to the serial "
@@ -346,22 +346,33 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(Clock::now() - t0).count() / reps * 1e6;
     push_row("trial_setup_construct", construct_us, "us");
 
+    // Restore alone, each time onto an image a fault-free run has just
+    // dirtied: the per-trial setup of a campaign without a ladder.
     auto system = factory();
-    const System::SystemSnapshot snap = system->snapshot();
-    const auto t1 = Clock::now();
-    for (int i = 0; i < reps; ++i) system->restore(snap);
-    const double restore_us =
-        std::chrono::duration<double>(Clock::now() - t1).count() / reps * 1e6;
+    const System::SystemSnapshot staged = system->snapshot();
+    std::uint64_t run_cycles = 0;
+    double restore_s = 0.0;
+    for (int i = 0; i < reps; ++i) {
+      run_cycles = system->run().cycles;
+      const auto t = Clock::now();
+      system->restore(staged);
+      restore_s += std::chrono::duration<double>(Clock::now() - t).count();
+    }
+    const double restore_us = restore_s / reps * 1e6;
     push_row("trial_setup_restore", restore_us, "us");
 
-    // Diff-based restore on a near-identical image — the checkpoint-
-    // ladder steady state, where consecutive trials restore against the
-    // same rung and only the trial's own footprint differs.
+    // Alternate between the staged image and a rung halfway through the
+    // golden run: a ladder trial landing on another rung than the last.
+    system->run_until(run_cycles / 2);
+    const System::SystemSnapshot rung = system->snapshot();
     const auto t2 = Clock::now();
-    for (int i = 0; i < reps; ++i) system->restore_fast(snap);
-    const double diff_us =
-        std::chrono::duration<double>(Clock::now() - t2).count() / reps * 1e6;
-    push_row("trial_setup_restore_diff", diff_us, "us");
+    for (int i = 0; i < reps; ++i) {
+      system->restore(staged);
+      system->restore(rung);
+    }
+    const double switch_us = std::chrono::duration<double>(Clock::now() - t2)
+                                 .count() / (2 * reps) * 1e6;
+    push_row("trial_setup_rung_switch", switch_us, "us");
     push_row("trial_setup_speedup", construct_us / restore_us, "x");
   }
 

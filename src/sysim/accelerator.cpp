@@ -224,6 +224,8 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
                          2);
           }
         }
+      if (ys.data != nullptr)
+        spm_y_.direct_span_written(0, static_cast<std::uint32_t>(2 * n * m));
 
       const auto k = static_cast<std::size_t>(
           std::max(1, cfg_.gemm.wdm_channels));
@@ -272,7 +274,7 @@ void PhotonicAccelerator::inject_phase_fault(std::size_t phase_index,
   gemm_.engine().perturb_phase(phase_index, delta_rad);
 }
 
-PhotonicAccelerator::Snapshot PhotonicAccelerator::snapshot() const {
+PhotonicAccelerator::Snapshot PhotonicAccelerator::snapshot() {
   Snapshot s;
   s.gemm = gemm_.snapshot();
   s.spm_w = spm_w_.snapshot();

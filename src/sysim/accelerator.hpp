@@ -136,7 +136,7 @@ class PhotonicAccelerator final : public BusDevice {
     std::uint32_t err_cause = 0, crc_w_expect = 0, crc_x_expect = 0;
     std::uint64_t watchdog_cycles = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] Snapshot snapshot();
   void restore(const Snapshot& s);
 
   static constexpr std::uint32_t kMmrBase = 0x0000;

@@ -259,6 +259,8 @@ Memory::Snapshot get_memory(Reader& r) {
     st.bit = r.u8();
     st.value = r.b();
   }
+  // Lineage stays off the wire: the image is a root of its own here.
+  s.lineage = Memory::Lineage::fresh();
   return s;
 }
 

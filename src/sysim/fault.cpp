@@ -2,42 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 namespace aspen::sys {
-
-namespace {
-
-/// Block size of the image scans below: libc's memcmp compares a whole
-/// block with vector loads, so only the block holding the first (or
-/// last) difference is walked byte by byte. A bytewise scan of the whole
-/// image runs at the mercy of its loop's code alignment.
-constexpr std::size_t kScanBlock = 256;
-
-/// [lo, hi) span of the bytes where two equal-size images differ
-/// (lo == hi when they are identical).
-std::pair<std::size_t, std::size_t> diff_span(const ByteImage& a,
-                                              const ByteImage& b) {
-  const std::size_t n = a.size();
-  std::size_t lo = 0;
-  while (lo + kScanBlock <= n &&
-         std::memcmp(&a[lo], &b[lo], kScanBlock) == 0)
-    lo += kScanBlock;
-  while (lo < n && a[lo] == b[lo]) ++lo;
-  if (lo == n) return {n, n};
-  std::size_t hi = n;
-  while (hi - lo >= kScanBlock &&
-         std::memcmp(&a[hi - kScanBlock], &b[hi - kScanBlock], kScanBlock) ==
-             0)
-    hi -= kScanBlock;
-  while (a[hi - 1] == b[hi - 1]) --hi;
-  return {lo, hi};
-}
-
-}  // namespace
 
 std::string to_string(FaultTarget t) {
   switch (t) {
@@ -137,7 +106,7 @@ void FaultCampaign::build_ladder(unsigned rungs) {
   (void)golden();
   ladder_.clear();
   if (rungs <= 1) return;
-  ladder_.push_back({staged_.cycle, staged_});
+  ladder_.push_back(staged_);
   if (golden_cycles_ == 0) return;
   // One sequential pass of the golden run, snapshotting at each rung
   // cycle. run_until guarantees now() == target unless the CPU halts
@@ -150,19 +119,7 @@ void FaultCampaign::build_ladder(unsigned rungs) {
     if (c <= ladder_.back().cycle) continue;
     scratch_->run_until(c);
     if (scratch_->cpu().halted()) break;
-    Rung rung;
-    rung.cycle = c;
-    rung.snap = scratch_->snapshot();
-    // Bounds of this rung's DRAM image against the staged image: the
-    // golden prefix is deterministic, so this one-time scan lets trials
-    // restoring across rungs hand restore_fast a tight stale span
-    // instead of the whole DRAM.
-    const auto [lo, hi] = diff_span(rung.snap.dram.bytes, staged_.dram.bytes);
-    if (lo < hi) {
-      rung.stale_lo = static_cast<std::uint32_t>(lo);
-      rung.stale_len = static_cast<std::uint32_t>(hi - lo);
-    }
-    ladder_.push_back(std::move(rung));
+    ladder_.push_back(scratch_->snapshot());
   }
 }
 
@@ -262,60 +219,30 @@ Outcome FaultCampaign::classify_trial(System& system) const {
   return Outcome::kSdc;
 }
 
-std::size_t FaultCampaign::rung_index(std::uint64_t cycle) const {
+const System::SystemSnapshot& FaultCampaign::rung_for(
+    std::uint64_t cycle) const {
+  if (ladder_.empty()) return staged_;
   // Latest rung at or before the injection cycle. Rung cycles ascend, so
   // this is one upper_bound.
   const auto it = std::upper_bound(
       ladder_.begin(), ladder_.end(), cycle,
-      [](std::uint64_t c, const Rung& r) { return c < r.cycle; });
-  return it == ladder_.begin() ? 0 : static_cast<std::size_t>(it - ladder_.begin()) - 1;
+      [](std::uint64_t c, const System::SystemSnapshot& r) {
+        return c < r.cycle;
+      });
+  return it == ladder_.begin() ? ladder_.front() : *(it - 1);
 }
 
-Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec,
-                                 std::size_t* last_rung) {
+Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
   if (spec.cycle > max_cycles_)
     throw std::invalid_argument(
         "FaultCampaign: injection cycle " + std::to_string(spec.cycle) +
         " beyond the cycle budget " + std::to_string(max_cycles_) +
         " — the fault could never be injected");
 
-  if (ladder_.empty()) {
-    system.restore(staged_);
-  } else {
-    // Restore the latest checkpoint at or before the injection cycle.
-    // The diff-based restore scans only the memory's dirty watermark
-    // (what the previous trial wrote) plus the stale span between the
-    // previously restored rung's image and this one's — empty when the
-    // rung repeats, which the rung-grouped execution order makes the
-    // common case.
-    const std::size_t r = rung_index(spec.cycle);
-    std::uint32_t stale_lo = 0, stale_len = 0xFFFFFFFFu;
-    if (last_rung != nullptr && *last_rung != kNoRung) {
-      if (*last_rung == r) {
-        stale_len = 0;
-      } else {
-        const Rung& prev = ladder_[*last_rung];
-        const Rung& cur = ladder_[r];
-        if (prev.stale_len == 0) {
-          stale_lo = cur.stale_lo;
-          stale_len = cur.stale_len;
-        } else if (cur.stale_len == 0) {
-          stale_lo = prev.stale_lo;
-          stale_len = prev.stale_len;
-        } else {
-          stale_lo = std::min(prev.stale_lo, cur.stale_lo);
-          stale_len = std::max(prev.stale_lo + prev.stale_len,
-                               cur.stale_lo + cur.stale_len) -
-                      stale_lo;
-        }
-      }
-    }
-    system.restore_fast(ladder_[r].snap, stale_lo, stale_len);
-    if (last_rung != nullptr) *last_rung = r;
-  }
-
-  // Run to the exact injection cycle (event-driven under the hood),
-  // inject, then run to completion.
+  // Restore the latest checkpoint at or before the injection cycle, run
+  // to the exact injection cycle (event-driven under the hood), inject,
+  // then run to completion.
+  system.restore(rung_for(spec.cycle));
   system.run_until(spec.cycle);
   inject(system, spec);
   system.run_until(max_cycles_);
@@ -397,24 +324,9 @@ std::vector<Outcome> FaultCampaign::run_trials(
   std::size_t workers = threads == 0 ? 1 : threads;
   if (workers > n) workers = n > 0 ? n : 1;
 
-  // Execution order: grouped by ladder rung (stable within a rung) so
-  // consecutive trials restore from the same checkpoint image and the
-  // diff-based restore reverts as little as possible. Outcomes are
-  // always reported in spec order, so the grouping is invisible to
-  // callers and identical for every thread count.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  if (!ladder_.empty())
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return rung_index(specs[a].cycle) <
-                              rung_index(specs[b].cycle);
-                     });
-
   if (workers <= 1) {
-    std::size_t last = kNoRung;
     for (std::size_t i = 0; i < n; ++i)
-      outcomes[order[i]] = run_trial(*scratch_, specs[order[i]], &last);
+      outcomes[i] = run_trial(*scratch_, specs[i]);
     return outcomes;
   }
 
@@ -429,11 +341,8 @@ std::vector<Outcome> FaultCampaign::run_trials(
   std::vector<std::exception_ptr> errors(workers);
   const auto work = [&](System& system, std::size_t w) {
     try {
-      std::size_t last = kNoRung;
-      for (std::size_t k; (k = next.fetch_add(1)) < n;) {
-        const std::size_t i = order[k];
-        outcomes[i] = run_trial(system, specs[i], &last);
-      }
+      for (std::size_t i; (i = next.fetch_add(1)) < n;)
+        outcomes[i] = run_trial(system, specs[i]);
     } catch (...) {
       errors[w] = std::current_exception();
     }

@@ -1,6 +1,7 @@
 #include "sysim/memory.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
@@ -86,50 +87,35 @@ void Memory::clear_faults() {
   notify(0, size());
 }
 
+Memory::Lineage Memory::Lineage::fresh() {
+  static std::atomic<std::uint64_t> next_root{1};
+  Lineage l;
+  l.root = next_root++;
+  return l;
+}
+
+Memory::Snapshot Memory::snapshot() {
+  if (lineage_.root == 0) lineage_ = Lineage::fresh();
+  return {bytes_, stuck_, lineage_};
+}
+
 void Memory::restore(const Snapshot& s) {
   if (s.bytes.size() != bytes_.size())
     throw std::invalid_argument(name_ + ": restore size mismatch");
-  std::memcpy(bytes_.data(), s.bytes.data(), bytes_.size());
-  stuck_ = s.stuck;
-  dirty_lo_ = 0xFFFFFFFFu;
-  dirty_hi_ = 0;
-  // Contents and possibly the read transform changed: the whole span is
-  // dirty (this also re-grants / revokes direct_span() visibility for
-  // masters holding windows on this memory).
-  notify(0, size());
-}
-
-void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
-                          std::uint32_t stale_len) {
-  const auto same_stuck = [&] {
-    if (stuck_.size() != s.stuck.size()) return false;
-    for (std::size_t i = 0; i < stuck_.size(); ++i)
-      if (stuck_[i].offset != s.stuck[i].offset ||
-          stuck_[i].bit != s.stuck[i].bit || stuck_[i].value != s.stuck[i].value)
-        return false;
-    return true;
-  };
-  if (s.bytes.size() != bytes_.size() || !same_stuck()) {
-    restore(s);
-    return;
-  }
-  // Only bytes inside the dirty watermark (mutated since the last
-  // restore) or the caller's stale span (where the last restored image
-  // may differ from `s`) can differ; everything else is provably equal
-  // and is not even scanned.
+  const bool same_stuck = std::equal(
+      stuck_.begin(), stuck_.end(), s.stuck.begin(), s.stuck.end(),
+      [](const Stuck& a, const Stuck& b) {
+        return a.offset == b.offset && a.bit == b.bit && a.value == b.value;
+      });
+  // Both images descend from one root: a byte outside both spans equals
+  // the root's in each, so only the union of the spans can differ.
   const std::uint32_t n = size();
-  std::uint32_t scan_lo = dirty_lo_ <= dirty_hi_ ? dirty_lo_ : n;
-  std::uint32_t scan_hi = dirty_lo_ <= dirty_hi_ ? dirty_hi_ : 0;
-  if (stale_len > 0) {
-    scan_lo = std::min(scan_lo, stale_lo);
-    scan_hi = std::max<std::uint64_t>(
-        scan_hi, std::min<std::uint64_t>(
-                     static_cast<std::uint64_t>(stale_lo) + stale_len, n));
+  std::uint32_t scan_lo = 0;
+  std::uint32_t scan_hi = n;
+  if (same_stuck && lineage_.root != 0 && lineage_.root == s.lineage.root) {
+    scan_lo = std::min(lineage_.lo, s.lineage.lo);
+    scan_hi = std::min(std::max(lineage_.hi, s.lineage.hi), n);
   }
-  scan_lo = std::min(scan_lo, n);
-  scan_hi = std::min(scan_hi, n);
-  dirty_lo_ = 0xFFFFFFFFu;
-  dirty_hi_ = 0;
   // Chunked scan: contiguous runs of differing chunks are copied and
   // notified as one span, so observer invalidation stays proportional to
   // what actually changed. 256 bytes balances memcmp call overhead
@@ -155,6 +141,13 @@ void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
     std::memcpy(bytes_.data() + run_lo, s.bytes.data() + run_lo,
                 scan_hi - run_lo);
     notify(run_lo, scan_hi - run_lo);
+  }
+  lineage_ = s.lineage;
+  if (!same_stuck) {
+    // The read transform changed: every span is stale (this also
+    // re-grants / revokes direct_span() for masters holding windows).
+    stuck_ = s.stuck;
+    notify(0, n);
   }
 }
 

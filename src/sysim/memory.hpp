@@ -42,7 +42,7 @@ class Memory final : public BusDevice {
     observer_ = observer;
   }
   /// Bulk direct-span mutation (DMA bulk moves, a CPU master flushing
-  /// its store watermark): marks the span dirty and forwards to the
+  /// its store watermark): widens the lineage span and forwards to the
   /// observer.
   void direct_span_written(std::uint32_t offset,
                            std::uint32_t bytes) override {
@@ -80,48 +80,48 @@ class Memory final : public BusDevice {
     std::uint8_t bit;
     bool value;
   };
-  /// Full captured state: the byte image plus the armed stuck-at faults.
+  /// Where a byte image stands against a root image: `root` names the
+  /// root (0 = unknown; ids are unique across the process) and
+  /// [lo, hi) bounds the bytes that may differ from it (lo >= hi: none).
+  struct Lineage {
+    std::uint64_t root = 0;
+    std::uint32_t lo = 0xFFFFFFFFu;
+    std::uint32_t hi = 0;
+    /// A new root with an empty span.
+    [[nodiscard]] static Lineage fresh();
+  };
+  /// Full captured state: the byte image, the armed stuck-at faults and
+  /// the image's lineage.
   struct Snapshot {
     ByteImage bytes;
     std::vector<Stuck> stuck;
+    Lineage lineage;
   };
-  [[nodiscard]] Snapshot snapshot() const { return {bytes_, stuck_}; }
+  /// A memory of unknown lineage becomes a fresh root here (the snapshot
+  /// with it, empty span); otherwise the snapshot inherits the memory's
+  /// root and the span of every mutation since.
+  [[nodiscard]] Snapshot snapshot();
   /// Restore a snapshot taken from an identically sized memory (throws
-  /// std::invalid_argument otherwise). One memcpy plus a full-span
-  /// observer notification so masters drop derived caches.
+  /// std::invalid_argument otherwise), then adopt its lineage. When the
+  /// memory and the snapshot share a root and a stuck-at set, only the
+  /// union of their spans can differ and only that is compared;
+  /// otherwise the whole image is. Only the 256-byte chunks that do
+  /// differ are copied and reported to the observer, so masters keep the
+  /// derived caches (predecoded instructions) of untouched spans. A
+  /// changed stuck-at set reports the whole span: the read transform
+  /// changed.
   void restore(const Snapshot& s);
-  /// Bitwise-equivalent restore that copies (and notifies the observer
-  /// about) only the chunks that actually differ from the snapshot image.
-  /// Campaign trials restoring a checkpoint rung re-run mostly-identical
-  /// prefixes, so the bulk of the image — program text above all — is
-  /// already in place; skipping it keeps masters' derived caches
-  /// (predecoded instructions) warm for the untouched spans. Falls back
-  /// to the full restore when the armed stuck-at fault set differs (the
-  /// read transform changed, so every span is stale).
-  ///
-  /// The scan is bounded to the union of the internal dirty watermark
-  /// (every mutation since the last restore — bus writes, bulk moves,
-  /// host loads, bit flips; masters writing through direct spans report
-  /// via direct_span_written) and the caller-supplied stale span
-  /// [stale_lo, stale_lo+stale_len): the bytes where the image last
-  /// restored into this memory may differ from `s`. Callers that do not
-  /// track which image the memory holds must pass the full span.
-  void restore_diff(const Snapshot& s, std::uint32_t stale_lo,
-                    std::uint32_t stale_len);
-  /// restore_diff with the whole image treated as stale (sound against
-  /// any prior contents; still skips copying/notifying matching chunks).
-  void restore_diff(const Snapshot& s) { restore_diff(s, 0, size()); }
 
  private:
   [[nodiscard]] std::uint8_t read_byte(std::uint32_t offset) const;
   void notify(std::uint32_t offset, std::uint32_t bytes) {
     if (observer_ != nullptr) observer_->bus_memory_written(this, offset, bytes);
   }
-  /// Widen the dirty watermark (bytes touched since the last restore).
+  /// Widen the lineage span over mutated bytes.
   void mark_dirty(std::uint32_t offset, std::uint32_t bytes) {
     if (bytes == 0) return;
-    dirty_lo_ = std::min(dirty_lo_, offset);
-    dirty_hi_ = std::max(dirty_hi_, offset + bytes);
+    lineage_.lo = std::min(lineage_.lo, offset);
+    lineage_.hi = std::max(lineage_.hi, offset + bytes);
   }
 
   std::string name_;
@@ -129,11 +129,11 @@ class Memory final : public BusDevice {
   unsigned latency_;
   BusWriteObserver* observer_ = nullptr;
   std::vector<Stuck> stuck_;
-  /// Dirty watermark [dirty_lo_, dirty_hi_): bytes mutated since the
-  /// last restore (lo > hi = clean). Lets restore_diff scan only what
-  /// this execution actually touched instead of the whole image.
-  std::uint32_t dirty_lo_ = 0xFFFFFFFFu;
-  std::uint32_t dirty_hi_ = 0;
+  /// Every mutation path (bus writes, bulk moves, host loads, bit flips;
+  /// masters writing through direct spans report via
+  /// direct_span_written) widens the span, so it bounds what restore()
+  /// must compare.
+  Lineage lineage_;
 };
 
 }  // namespace aspen::sys

@@ -72,21 +72,6 @@ Cpu::Snapshot Cpu::snapshot() const {
 }
 
 void Cpu::restore(const Snapshot& s) {
-  restore_warm(s);
-  // Derived caches re-resolve lazily against the restored memory image.
-  // Observer registrations in observed_devs_ stay in place: devices
-  // outlive the restore, and set_window keeps them in sync as windows
-  // repopulate. Pending store spans are dropped, not flushed: the full
-  // memory restore paired with this call resets the dirty watermarks
-  // they would have fed, and the windows they were expressed against
-  // are gone.
-  win_ = {};
-  store_lo_ = {0xFFFFFFFFu, 0xFFFFFFFFu};
-  store_hi_ = {0, 0};
-  icache_flush();
-}
-
-void Cpu::restore_warm(const Snapshot& s) {
   regs_ = s.regs;
   stuck_or_ = s.stuck_or;
   stuck_and_ = s.stuck_and;

@@ -75,11 +75,12 @@ class System {
 
   /// Complete captured platform state, restorable into any System built
   /// from the same SystemConfig. Component snapshots hold architectural
-  /// state only; derived caches (predecoded micro-ops, bus windows, mesh
-  /// transfer factorizations) are invalidated on restore and repopulate
-  /// lazily at bit-identical cycle cost. The fault campaigns stage a
-  /// workload once, snapshot, and restore per trial instead of paying
-  /// construction (DRAM allocation + weight programming) every run.
+  /// state only; a restore keeps each derived cache (predecoded
+  /// micro-ops, bus windows, mesh transfer factorizations) whose inputs
+  /// it did not change, and the rest repopulate lazily at bit-identical
+  /// cycle cost. The fault campaigns stage a workload once, snapshot,
+  /// and restore per trial instead of paying construction (DRAM
+  /// allocation + weight programming) every run.
   struct SystemSnapshot {
     std::uint64_t cycle = 0;
     Memory::Snapshot dram;
@@ -87,30 +88,23 @@ class System {
     std::vector<PhotonicAccelerator::Snapshot> pes;
     rv::Cpu::Snapshot cpu;
   };
-  [[nodiscard]] SystemSnapshot snapshot() const;
+  /// Publishes the CPU's pending raw-window stores first, so the memory
+  /// lineages the snapshot records cover every guest store.
+  [[nodiscard]] SystemSnapshot snapshot();
   /// Restore a snapshot taken from an identically configured System
-  /// (throws std::invalid_argument on a shape mismatch). Cost is
-  /// dominated by the DRAM memcpy.
+  /// (throws std::invalid_argument on a shape mismatch). Each memory
+  /// copies only the chunks that differ from the snapshot (see
+  /// Memory::restore) and the CPU keeps every derived cache those copies
+  /// did not invalidate, so restoring an image close to the current one
+  /// (the next request's staged state, a checkpoint rung) costs a short
+  /// scan rather than a DRAM memcpy and a cold re-decode.
   void restore(const SystemSnapshot& s);
-  /// Bitwise-equivalent restore tuned for hot trial loops: DRAM is
-  /// diff-restored (only spans differing from the snapshot are copied
-  /// and notified) and the CPU keeps its direct-memory windows and
-  /// predecoded micro-ops — the diff's observer notifications invalidate
-  /// exactly the stale entries, the same protocol that keeps them
-  /// coherent across DMA writes. Checkpoint-ladder fault campaigns
-  /// restore mostly-identical prefixes thousands of times; skipping the
-  /// untouched program image is the difference between a full-DRAM
-  /// memcpy plus cold re-decode per trial and a short scan.
-  ///
-  /// The DRAM scan is bounded to the union of the memory's own dirty
-  /// watermark (completed by publishing the CPU's raw-span store spans
-  /// first) and the caller's stale span [dram_stale_lo,
-  /// dram_stale_lo+dram_stale_len): the bytes where the image this
-  /// system was last restored to may differ from `s.dram`. Callers that
-  /// do not track the last restored image must keep the whole-span
-  /// default.
-  void restore_fast(const SystemSnapshot& s, std::uint32_t dram_stale_lo = 0,
-                    std::uint32_t dram_stale_len = 0xFFFFFFFFu);
+  /// restore() under its former name; the span arguments are ignored.
+  /// The e2ebench harness still calls it: delete it at its next change.
+  void restore_fast(const SystemSnapshot& s, std::uint32_t = 0,
+                    std::uint32_t = 0) {
+    restore(s);
+  }
 
   [[nodiscard]] rv::Cpu& cpu() { return *cpu_; }
   [[nodiscard]] Memory& dram() { return *dram_; }

@@ -494,6 +494,32 @@ TEST(AcceleratorFaultTest, ClearCrcBitsIgnoreWrongExpectations) {
   EXPECT_LE(max_err, 4);
 }
 
+TEST(AcceleratorFaultTest, RestoreRevertsResultWrittenByStart) {
+  // START writes Y straight into SPM_Y's byte store. A restore compares
+  // only the bytes a memory reports as mutated since its snapshot, so an
+  // unreported writeback would survive it.
+  PA accel(accel_cfg());
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  write_spm(accel, PA::kSpmWBase, random_fixed(wl.n * wl.n, 0.9, 20));
+  write_spm(accel, PA::kSpmXBase, random_fixed(wl.n * wl.m, 0.9, 21));
+  accel.write(PA::kRegCols, static_cast<std::uint32_t>(wl.m), 4);
+  const PA::Snapshot snap = accel.snapshot();
+
+  accel.write(PA::kRegCtrl, PA::kCtrlStart | PA::kCtrlLoadWeights, 4);
+  run_to_idle(accel);
+  std::vector<std::uint8_t> y(accel.spm_y().size());
+  accel.spm_y().read_block(0, y.data(), y.size());
+  ASSERT_NE(std::memcmp(y.data(), snap.spm_y.bytes.data(), y.size()), 0)
+      << "START wrote no result";
+
+  accel.restore(snap);
+  accel.spm_y().read_block(0, y.data(), y.size());
+  EXPECT_EQ(std::memcmp(y.data(), snap.spm_y.bytes.data(), y.size()), 0)
+      << "SPM_Y kept the result of a START its snapshot predates";
+}
+
 TEST(AcceleratorFaultTest, OnDeviceAbftCountersExposedOverMmio) {
   PA accel(accel_cfg(true));
   GemmWorkload wl;

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 
+#include "sysim/campaign_io.hpp"
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
 #include "sysim/workloads.hpp"
@@ -1136,6 +1137,163 @@ TEST(SnapshotTest, RestoredTrialMatchesRebuiltSystemPerScenario) {
                      (std::string("spec target ") + to_string(spec.target) +
                       " model " + to_string(spec.model))
                          .c_str());
+  }
+}
+
+TEST(SnapshotTest, LineageRestoresMatchFreshSystemAfterEveryMutation) {
+  // Restores compare only the bytes that the memories' lineage says may
+  // differ. Walk staged -> rung a -> rung b -> staged over snapshots as
+  // taken, as copies and as campaign_io round trips, mutating the system
+  // through one path before every restore, and hold each restored state
+  // (and the run continued from it) against a freshly built System. The
+  // rungs are taken mid-run, with guest stores still pending in the
+  // CPU's raw windows.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto stage = gemm_stager(wl, 441);
+  const auto program = build_gemm_offload(wl, sc, OffloadPath::kMmrPolling);
+  const auto build = [&] {
+    auto system = std::make_unique<System>(sc);
+    stage(*system);
+    system->load_program(program);
+    return system;
+  };
+  // Rungs halfway through the two store loops: A into SPM_W (stores
+  // through the CPU's data window) and Y back into DRAM (stores through
+  // its fetch window). Either window publishes its stores only when it
+  // moves or a snapshot or restore asks, so they are pending at the rung.
+  const auto first_cycle = [&](const std::function<bool(System&)>& reached) {
+    auto probe = build();
+    while (!probe->cpu().halted() && !reached(*probe))
+      probe->run_until(probe->now() + 1);
+    EXPECT_FALSE(probe->cpu().halted());
+    return probe->now();
+  };
+  const std::uint64_t rung_cycles[] = {
+      first_cycle([](System& s) { return s.pe(0).spm_w().read(64, 2) != 0; }),
+      first_cycle([&](System& s) {
+        std::uint32_t y = 0;
+        s.read_dram(wl.y_offset + static_cast<std::uint32_t>(wl.n * wl.m),
+                    &y, 4);
+        return y != 0;
+      }),
+  };
+  ASSERT_LT(rung_cycles[0], rung_cycles[1]);
+
+  std::vector<std::uint8_t> pattern(64);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>(0x3D * i + 7);
+  using Mutation = std::function<void(System&)>;
+  const std::pair<const char*, Mutation> mutations[] = {
+      {"bus_write",
+       [&](System& s) {
+         (void)s.bus().write(sc.dram_base + wl.y_offset, 0xDEADBEEFu, 4);
+         (void)s.bus().write(
+             sc.accel_base + PhotonicAccelerator::kSpmXBase + 6, 0xA5A5u, 2);
+       }},
+      {"load",
+       [&](System& s) {
+         s.write_dram(wl.x_offset + 8, pattern.data(), pattern.size());
+         s.pe(0).spm_w().load(16, pattern.data(), 32);
+       }},
+      {"fill",
+       [&](System& s) {
+         s.dram().fill(0x5A);
+         s.pe(0).spm_y().fill(0xC3);
+       }},
+      {"flip_bit",
+       [&](System& s) {
+         s.dram().flip_bit(0x40, 3);  // code
+         s.dram().flip_bit(wl.a_offset + 5, 6);
+         s.pe(0).spm_x().flip_bit(9, 1);
+       }},
+      {"stuck_set",
+       [&](System& s) {
+         s.dram().set_stuck_bit(0x44, 2, true);  // code, revokes the span
+         s.pe(0).spm_w().set_stuck_bit(3, 0, false);
+       }},
+      {"dma_bulk_move",
+       [&](System& s) {
+         // DRAM code -> SPM_W and DRAM -> DRAM data, moved in bulk by the
+         // engine's skip path through the destinations' raw spans.
+         for (const auto& [src, dst] :
+              {std::pair{sc.dram_base,
+                         sc.accel_base + PhotonicAccelerator::kSpmWBase},
+               std::pair{sc.dram_base + 0x80, sc.dram_base + wl.x_offset}}) {
+           DmaEngine& dma = s.dma();
+           dma.write(DmaEngine::kRegSrc, src, 4);
+           dma.write(DmaEngine::kRegDst, dst, 4);
+           dma.write(DmaEngine::kRegLen, 64, 4);
+           dma.write(DmaEngine::kRegCtrl, DmaEngine::kCtrlStart, 4);
+           ASSERT_GT(dma.bulk_cycles_remaining(), 0u);
+           dma.skip_cycles(1000);
+           ASSERT_FALSE(dma.busy());
+         }
+       }},
+      {"guest_stores",
+       [&](System& s) { s.run_until(s.now() + 301); }},
+  };
+
+  // Byte images and the stuck-at read transform of every memory.
+  const auto spms = [](System& s) {
+    return std::array<Memory*, 3>{&s.pe(0).spm_w(), &s.pe(0).spm_x(),
+                                  &s.pe(0).spm_y()};
+  };
+  const auto expect_same = [&](System& got, System& want,
+                               const std::string& what) {
+    expect_identical(capture_state(want), capture_state(got), what.c_str());
+    EXPECT_EQ(got.dram().direct_span().data != nullptr,
+              want.dram().direct_span().data != nullptr)
+        << what << ": DRAM stuck-at set differs";
+    const auto g = spms(got);
+    const auto w = spms(want);
+    for (std::size_t i = 0; i < g.size(); ++i)
+      for (std::uint32_t off = 0; off < g[i]->size(); ++off)
+        ASSERT_EQ(g[i]->read(off, 1), w[i]->read(off, 1))
+            << what << ": " << g[i]->name() << " byte " << off;
+  };
+
+  for (const auto& [mutation_name, mutate] : mutations) {
+    for (const char* kind : {"taken", "copy", "wire"}) {
+      auto system = build();
+      std::vector<System::SystemSnapshot> snaps{system->snapshot()};
+      for (const std::uint64_t c : rung_cycles) {
+        system->run_until(c);
+        snaps.push_back(system->snapshot());
+      }
+      if (std::string(kind) == "copy") {
+        std::vector<System::SystemSnapshot> copies(snaps);
+        snaps.swap(copies);  // the originals die with `copies`
+      } else if (std::string(kind) == "wire") {
+        for (System::SystemSnapshot& s : snaps) {
+          const std::vector<std::uint8_t> b = serialize_snapshot(s);
+          s = deserialize_snapshot(b.data(), b.size());
+        }
+      }
+
+      for (const std::size_t k : {0u, 1u, 2u, 0u}) {
+        const System::SystemSnapshot& snap = snaps[k];
+        const std::string what = std::string(mutation_name) + "/" + kind +
+                                 " -> snapshot " + std::to_string(k);
+        mutate(*system);
+        system->restore(snap);
+        auto fresh = build();
+        fresh->run_until(snap.cycle);
+        expect_same(*system, *fresh, what + " restored");
+        system->run_until(snap.cycle + 257);
+        fresh->run_until(snap.cycle + 257);
+        expect_same(*system, *fresh, what + " continued");
+      }
+      system->run_until(500000);
+      auto fresh = build();
+      fresh->run_until(500000);
+      expect_same(*system, *fresh,
+                  std::string(mutation_name) + "/" + kind +
+                      " run to completion");
+    }
   }
 }
 

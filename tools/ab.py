@@ -10,7 +10,7 @@ binary. Each pair runs both sides back to back, alternating which side
 goes first, so slow phases of a shared host land on both. For every
 end-to-end metric in BENCHMARK.json it prints each side's median and
 quartiles, the change of the medians, and in how many pairs CHANGE beat
-BASE.
+BASE, followed by every run's value.
 
 Exit status: 0 when every run passed its correctness gates and the
 simulated metrics (sim_*) agree across all runs of both sides, 1 when a
@@ -37,6 +37,8 @@ def command(side, args, out_dir):
     run = ["--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", "0"]
     if os.path.isdir(side):
+        # Absolute: the script runs with the tree as working directory.
+        side = os.path.abspath(side)
         script = os.path.join(side, "e2ebench", "run.py")
         if not os.path.isfile(script):
             sys.exit("ab: %s holds no e2ebench/run.py" % side)
@@ -132,6 +134,12 @@ def main():
     for row in rows:
         print("  ".join(cell.ljust(w) if c < 2 else cell.rjust(w)
                         for c, (cell, w) in enumerate(zip(row, widths))))
+    print("every run, in pair order:")
+    for m in spec:
+        for label in ("base", "change"):
+            print("  %s %s: %s" % (m["name"], label, " ".join(
+                fmt(r["metrics"][m["name"]]["value"])
+                for r in results[label])))
     return 2 if sim_differs else 0
 
 
