@@ -377,57 +377,60 @@ int main(int argc, char** argv) {
   }
 
   // -- Campaign throughput ----------------------------------------------
+  // Each throughput row is the median over several passes: one pass of
+  // the spec batch is too short to resolve a change under ~20%. Every
+  // pass's verdicts must equal the serial rebuild oracle's (the first
+  // row checks its passes against its own first).
   const auto golden = campaign.golden();
+  const int passes = bench::samples(5, 1);
+  std::vector<Outcome> oracle;
   const auto timed = [&](const char* name, const auto& fn) {
-    const auto t0 = Clock::now();
-    std::vector<Outcome> out = fn();
-    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
-    const double tps = static_cast<double>(out.size()) / s;
-    push_row(name, tps, "trials/s");
-    return std::make_pair(out, tps);
+    std::vector<double> tps;
+    for (int p = 0; p < passes; ++p) {
+      const auto t0 = Clock::now();
+      const std::vector<Outcome> out = fn();
+      const double s =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      tps.push_back(static_cast<double>(out.size()) / s);
+      if (oracle.empty()) oracle = out;
+      if (out != oracle) {
+        std::fprintf(stderr,
+                     "bench_campaign: %s pass %d verdicts diverged from the "
+                     "serial rebuild oracle\n",
+                     name, p);
+        std::exit(1);
+      }
+    }
+    std::nth_element(tps.begin(), tps.begin() + passes / 2, tps.end());
+    push_row(name, tps[static_cast<std::size_t>(passes / 2)], "trials/s");
+    return tps[static_cast<std::size_t>(passes / 2)];
   };
 
-  const auto [rebuilt, rebuild_tps] = timed("campaign_rebuild_serial", [&] {
+  const double rebuild_tps = timed("campaign_rebuild_serial", [&] {
     std::vector<Outcome> out;
     out.reserve(specs.size());
     for (const FaultSpec& spec : specs)
       out.push_back(rebuild_trial(factory, read_y, golden, kMaxCycles, spec));
     return out;
   });
-  const auto [restored, restore_tps] = timed("campaign_restore_serial", [&] {
+  const double restore_tps = timed("campaign_restore_serial", [&] {
     return campaign.run_trials(specs, 1);
   });
-  if (rebuilt != restored) {
-    std::fprintf(stderr,
-                 "bench_campaign: restore path diverged from rebuild path\n");
-    return 1;
-  }
 
   double best_parallel_tps = restore_tps;
   for (const unsigned threads : {2u, 4u, 8u}) {
     char name[48];
     std::snprintf(name, sizeof name, "campaign_restore_t%u", threads);
-    const auto [par, par_tps] =
-        timed(name, [&] { return campaign.run_trials(specs, threads); });
-    if (par != restored) {
-      std::fprintf(stderr,
-                   "bench_campaign: %u-thread verdicts diverged from serial\n",
-                   threads);
-      return 1;
-    }
-    best_parallel_tps = std::max(best_parallel_tps, par_tps);
+    best_parallel_tps = std::max(
+        best_parallel_tps,
+        timed(name, [&] { return campaign.run_trials(specs, threads); }));
   }
 
   // -- Checkpoint ladder: golden-prefix reuse ---------------------------
   campaign.build_ladder(kLadderRungs);
-  const auto [laddered, ladder_tps] = timed("campaign_ladder", [&] {
+  const double ladder_tps = timed("campaign_ladder", [&] {
     return campaign.run_trials(specs, 1);
   });
-  if (laddered != restored) {
-    std::fprintf(stderr,
-                 "bench_campaign: ladder verdicts diverged from rung-0\n");
-    return 1;
-  }
   push_row("campaign_ladder_speedup", ladder_tps / restore_tps, "x");
 
 #if defined(__unix__)
@@ -463,7 +466,7 @@ int main(int argc, char** argv) {
       }
       parts.push_back(o.hist);
     }
-    if (!same_hist(merge_histograms(parts), histogram_of(restored))) {
+    if (!same_hist(merge_histograms(parts), histogram_of(oracle))) {
       std::fprintf(stderr,
                    "bench_campaign: merged worker-pool histogram diverged "
                    "from serial\n");

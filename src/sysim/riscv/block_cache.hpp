@@ -3,16 +3,15 @@
 /// Basic-block translation tier over the predecoded micro-op engine:
 /// straight-line instruction runs are decoded once into a Block — an
 /// array of micro-ops with a single entry check — executed back-to-back
-/// with per-op cycle/instret accounting, chained across direct
-/// branches/jumps via memoized successor links, and peephole-fused
-/// (lui+addi, auipc+jalr, load+op, op+branch) at build time. Coherence
-/// rides the same write paths that keep the per-instruction micro-op
-/// cache honest: every store/DMA/fault-flip invalidation call also
-/// evicts overlapping blocks, and a generation counter lets the
-/// executor notice when the block it is running was invalidated under
-/// its feet (self-modifying code). Results are bit-identical to
-/// single-stepping the same code and to the legacy decode-every-fetch
-/// interpreter.
+/// with per-op cycle/instret accounting and chained across direct
+/// branches/jumps (and auipc+jalr calls, whose target is static) via
+/// memoized successor links. Coherence rides the same write paths that
+/// keep the per-instruction micro-op cache honest: every
+/// store/DMA/fault-flip invalidation call also evicts overlapping
+/// blocks, and a generation counter lets the executor notice when the
+/// block it is running was invalidated under its feet (self-modifying
+/// code). Results are bit-identical to single-stepping the same code and
+/// to the legacy decode-every-fetch interpreter.
 
 #include <cstdint>
 #include <vector>
@@ -47,39 +46,16 @@ struct MicroOp {
   std::uint32_t imm = 0;
 };
 
-/// Macro-op fusion kinds. A fused BlockOp retires both constituent
-/// instructions with their exact individual cycle/instret/stall
-/// bookkeeping — fusion removes dispatch overhead, never timing.
-enum FuseKind : std::uint8_t {
-  kFuseNone = 0,
-  kFuseLuiAddi,    ///< lui rd,hi ; addi rd2,rd,lo   (materialize constant)
-  kFuseAuipcJalr,  ///< auipc rd,hi ; jalr rd2,rd,lo (static call target)
-  kFuseLoadOp,     ///< load rd ; ALU/M op reading rd
-  kFuseOpBranch,   ///< 1-cycle ALU op rd ; branch reading rd
-};
-
-/// One block slot: a single micro-op, or a fused pair (`fuse` != none).
-struct BlockOp {
-  MicroOp a;
-  MicroOp b;                       ///< second half when fused
-  std::uint8_t fuse = kFuseNone;
-  /// Total encoded bytes of the slot (a.len, + b.len when fused).
-  std::uint8_t len = 4;
-  /// Precomputed fusion result: the full constant for kFuseLuiAddi, the
-  /// resolved jump target for kFuseAuipcJalr.
-  std::uint32_t fused_imm = 0;
-};
-
-/// A run of block ops the executor can retire with batched bookkeeping
+/// A run of micro-ops the executor can retire with batched bookkeeping
 /// (`static_run`: pure register ops whose cycle cost is known at build
 /// time — no faults, traps, bus traffic, or PC/CSR reads — so budget,
-/// cycle, instret, and pc updates happen once per run), or a single op
+/// cycle, instret, and pc updates happen once per run; each op retires
+/// one instruction, so instret grows by `count`), or a run of ops
 /// needing full per-op bookkeeping (memory, control flow, system, CSR).
 struct Segment {
   std::uint32_t first = 0;    ///< index into Block::ops
-  std::uint32_t count = 0;    ///< BlockOps in this segment
+  std::uint32_t count = 0;    ///< micro-ops in this segment
   std::uint32_t cycles = 0;   ///< static cycle cost (static_run only)
-  std::uint32_t instret = 0;  ///< instructions retired (static_run only)
   std::uint32_t pc_bump = 0;  ///< bytes advanced (static_run only)
   bool static_run = false;
 };
@@ -89,7 +65,9 @@ struct Segment {
 /// where the terminator allows; links memoize the successor's pool slot
 /// so hot loops re-dispatch without a lookup. Links are hints only:
 /// every use re-validates `valid && start == pc`, so stale links
-/// self-heal after eviction.
+/// self-heal after eviction. A jalr reading the nonzero rd of the auipc
+/// right before it records its build-time target as `taken_pc` too; a
+/// corrupted register sends pc_ elsewhere, which never matches the hint.
 struct Block {
   static constexpr std::uint32_t kNoPc = 0xFFFFFFFFu;
   std::uint32_t start = kNoPc;
@@ -99,7 +77,7 @@ struct Block {
   std::uint32_t fall_pc = kNoPc;
   std::int32_t taken_link = -1;
   std::int32_t fall_link = -1;
-  std::vector<BlockOp> ops;
+  std::vector<MicroOp> ops;
   std::vector<Segment> segs;  ///< exec plan: static runs + dynamic singles
 };
 
@@ -138,8 +116,6 @@ struct BlockStats {
   std::uint64_t blocks_built = 0;
   std::uint64_t dispatches = 0;   ///< block executions entered
   std::uint64_t chained = 0;      ///< dispatches resolved via a chain link
-  std::uint64_t fused_built = 0;  ///< fused pairs created at build time
-  std::uint64_t fused_exec = 0;   ///< fused pairs fully retired
   std::uint64_t evictions = 0;    ///< blocks dropped by invalidation/flush
   std::uint64_t fallback_steps = 0;  ///< single-step dispatches (no block)
   std::uint64_t lookup_hits = 0;
@@ -149,6 +125,10 @@ struct BlockStats {
   /// (e2ebench/src/mlp.cpp) still reads it; it goes once that metric
   /// is retired from the benchmark.
   std::uint64_t folded_exec = 0;
+  /// Always 0: the block tier no longer fuses macro-op pairs. Kept only
+  /// because the e2ebench per-layer metric `riscv.fused_exec` reads it;
+  /// it goes once that metric is retired from the benchmark.
+  std::uint64_t fused_exec = 0;
   std::uint64_t rvc_built = 0;     ///< compressed (2-byte) ops decoded
   std::uint64_t fetch_bytes = 0;   ///< bytes decoded into blocks (2/4 per op)
   [[nodiscard]] double hit_rate() const {

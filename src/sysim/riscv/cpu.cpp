@@ -275,13 +275,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
   constexpr std::size_t kMaxOps = 64;
   BlockStats& st = blocks_.stats();
 
-  // Does `m` read `reg`? OP-IMM forms carry immediate bits in the rs2
-  // slot, so only rs1 counts for them.
-  const auto reads_reg = [](const MicroOp& m, std::uint8_t reg) {
-    if (m.op >= MicroOp::kAddi && m.op <= MicroOp::kSrai) return m.rs1 == reg;
-    return m.rs1 == reg || m.rs2 == reg;
-  };
-
   if (start & 1u) return false;  // misaligned entry traps via step()
   std::uint32_t p = start;
   bool terminated = false;
@@ -304,112 +297,51 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
     }
     st.fetch_bytes += u.len;
     const bool is_branch = u.op >= MicroOp::kBeq && u.op <= MicroOp::kBgeu;
-    const bool is_term =
+    terminated =
         is_branch || u.op == MicroOp::kJal || u.op == MicroOp::kJalr ||
         u.op == MicroOp::kEcall || u.op == MicroOp::kEbreak ||
         u.op == MicroOp::kWfi || u.op == MicroOp::kMret ||
         u.op == MicroOp::kIllegal;
-
-    // Fusion peephole against the previous op (only when it is a lone,
-    // unfused, non-terminator half — terminators end the loop, so the
-    // last op is never one). x0-producing firsts are excluded: their
-    // architectural result is 0, not the immediate the fused forms
-    // precompute.
-    BlockOp* prev =
-        blk.ops.empty() || blk.ops.back().fuse != kFuseNone ? nullptr
-                                                            : &blk.ops.back();
-    if (prev != nullptr && prev->a.rd != 0) {
-      const MicroOp& f = prev->a;
-      // lui+addi: materialize the full 32-bit constant in one pair.
-      if (f.op == MicroOp::kLui && u.op == MicroOp::kAddi && u.rs1 == f.rd) {
-        prev->b = u;
-        prev->fuse = kFuseLuiAddi;
-        prev->fused_imm = f.imm + u.imm;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        p += u.len;
-        continue;
-      }
-      // auipc+jalr: the target is static — a chainable terminator.
-      if (f.op == MicroOp::kAuipc && u.op == MicroOp::kJalr &&
-          u.rs1 == f.rd) {
-        prev->b = u;
-        prev->fuse = kFuseAuipcJalr;
-        prev->fused_imm = ((p - f.len) + f.imm + u.imm) & ~1u;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        blk.taken_pc = prev->fused_imm;
-        p += u.len;
-        terminated = true;
-        continue;
-      }
-      // load+op: ALU/M consumer of the just-loaded register.
-      if (f.op >= MicroOp::kLb && f.op <= MicroOp::kLhu &&
-          u.op >= MicroOp::kAddi && u.op <= MicroOp::kRemu &&
-          reads_reg(u, f.rd)) {
-        prev->b = u;
-        prev->fuse = kFuseLoadOp;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        p += u.len;
-        continue;
-      }
-      // op+branch: compare-and-branch on a single-cycle ALU result.
-      if (f.op >= MicroOp::kAddi && f.op <= MicroOp::kAnd && is_branch &&
-          reads_reg(u, f.rd)) {
-        prev->b = u;
-        prev->fuse = kFuseOpBranch;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        blk.taken_pc = p + u.imm;
-        blk.fall_pc = p + u.len;
-        p += u.len;
-        terminated = true;
-        continue;
-      }
+    if (is_branch) {
+      blk.taken_pc = p + u.imm;
+      blk.fall_pc = p + u.len;
+    } else if (u.op == MicroOp::kJal) {
+      blk.taken_pc = p + u.imm;
+    } else if (u.op == MicroOp::kJalr && !blk.ops.empty()) {
+      // auipc rd,hi ; jalr rd2,rd,lo: the target is static unless the
+      // register is corrupted in between. Only a chaining hint —
+      // run_burst follows a link only when pc_ lands on taken_pc.
+      const MicroOp& f = blk.ops.back();
+      if (f.op == MicroOp::kAuipc && f.rd != 0 && u.rs1 == f.rd)
+        blk.taken_pc = ((p - f.len) + f.imm + u.imm) & ~1u;
     }
-
-    BlockOp bo;
-    bo.a = u;
-    bo.len = u.len;
-    blk.ops.push_back(bo);
-    if (is_term) {
-      if (is_branch) {
-        blk.taken_pc = p + u.imm;
-        blk.fall_pc = p + u.len;
-      } else if (u.op == MicroOp::kJal) {
-        blk.taken_pc = p + u.imm;
-      }
-      // jalr/mret: indirect; ecall/ebreak/wfi/illegal: terminal or trap.
-      terminated = true;
-    }
+    // Other jalr/mret: indirect; ecall/ebreak/wfi/illegal: terminal or
+    // trap.
+    blk.ops.push_back(u);
     p += u.len;
   }
   if (blk.ops.empty()) return false;
   blk.end = p;
   if (!terminated) blk.fall_pc = p;  // window edge / length cap
 
-  // Post-fusion pass. First, resolve standalone auipc into a kLui
-  // constant: the block is keyed by its entry PC, so every op's PC is
-  // static and the result can be precomputed (the op then no longer
-  // reads pc_ and qualifies for static runs).
+  // Resolve auipc into a kLui constant: the block is keyed by its entry
+  // PC, so every op's PC is static and the result can be precomputed
+  // (the op then no longer reads pc_ and qualifies for static runs).
   std::uint32_t op_pc = blk.start;
-  for (BlockOp& bo : blk.ops) {
-    if (bo.fuse == kFuseNone && bo.a.op == MicroOp::kAuipc) {
-      bo.a.op = MicroOp::kLui;
-      bo.a.imm = op_pc + bo.a.imm;
+  for (MicroOp& u : blk.ops) {
+    if (u.op == MicroOp::kAuipc) {
+      u.op = MicroOp::kLui;
+      u.imm = op_pc + u.imm;
     }
-    op_pc += bo.len;
+    op_pc += u.len;
   }
   // Then carve the exec plan into segments: consecutive pure register
   // ops — no faults, traps, bus traffic, or cycles_/pc_ reads, cycle
   // cost known now — form a static run the executor retires with one
-  // batched budget/counter update; every other op gets a per-op
+  // batched budget/counter update; every other op joins a per-op
   // segment. Cost 0 marks a dynamic op.
-  const auto static_cost = [this](const BlockOp& bo) -> std::uint32_t {
-    if (bo.fuse == kFuseLuiAddi) return 2;
-    if (bo.fuse != kFuseNone) return 0;
-    const std::uint8_t op = bo.a.op;
+  const auto static_cost = [this](const MicroOp& u) -> std::uint32_t {
+    const std::uint8_t op = u.op;
     if (op == MicroOp::kLui || op == MicroOp::kFence ||
         (op >= MicroOp::kAddi && op <= MicroOp::kAnd))
       return 1;
@@ -435,8 +367,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
       s.static_run = true;
       do {
         s.cycles += c;
-        const bool fused = blk.ops[i].fuse != kFuseNone;
-        s.instret += fused ? 2u : 1u;
         s.pc_bump += blk.ops[i].len;
         ++s.count;
         ++i;
@@ -456,8 +386,8 @@ void Cpu::exec_alu(const MicroOp& u) {
       break;
     case MicroOp::kAuipc:
       // Only reachable with pc_ current (per-op paths): block building
-      // resolves standalone auipc to a kLui constant, so static runs —
-      // which batch the pc_ update — never see this case.
+      // resolves auipc to a kLui constant, so static runs — which batch
+      // the pc_ update — never see this case.
       write_reg(u.rd, pc_ + u.imm);
       break;
     case MicroOp::kAddi:
@@ -589,134 +519,31 @@ void Cpu::exec_alu(const MicroOp& u) {
   }
 }
 
-bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
+bool Cpu::burn_stall(std::uint64_t& budget, BurstResult& r) {
+  if (stall_ == 0) return true;
+  const std::uint64_t burn =
+      stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
+  cycles_ += burn;
+  budget -= burn;
+  r.cycles += burn;
+  stall_ -= static_cast<unsigned>(burn);
+  return stall_ == 0;
+}
+
+bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
   ++cycles_;
   --budget;
   ++r.cycles;
   stall_ += cfg_.fetch_latency;
-  // Pure register ops and DRAM-resident loads/stores are retired inline
-  // — semantics transcribed from exec_op and pinned against it (and
-  // against legacy_decode) by the differential suite. Control-flow,
-  // system, and CSR ops take the full dispatch with burst-level exit
-  // checks. Dispatch is a switch so the hot per-op path takes one
-  // jump-table indirection instead of a range-compare chain; `default`
-  // covers exactly the single-cycle ALU group (lui/auipc/OP-IMM/OP/
-  // fence) — every other op has an explicit label.
-  switch (u.op) {
-  default:
-    exec_alu(u);
-    ++instret_;
-    pc_ += u.len;
-    break;
-  case MicroOp::kMul:
-  case MicroOp::kMulh:
-  case MicroOp::kMulhsu:
-  case MicroOp::kMulhu:
-  case MicroOp::kDiv:
-  case MicroOp::kDivu:
-  case MicroOp::kRem:
-  case MicroOp::kRemu:
-    exec_alu(u);
-    stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                        : cfg_.div_latency - 1;
-    ++instret_;
-    pc_ += u.len;
-    break;
-  case MicroOp::kLb:
-  case MicroOp::kLh:
-  case MicroOp::kLw:
-  case MicroOp::kLbu:
-  case MicroOp::kLhu: {
-    const std::uint32_t addr = read_reg(u.rs1) + u.imm;
-    unsigned size = 1;
-    if (u.op == MicroOp::kLh || u.op == MicroOp::kLhu) size = 2;
-    if (u.op == MicroOp::kLw) size = 4;
-    std::uint32_t v;
-    if (!fast_read(addr, size, v)) {
-      // MMIO reads are pure (BusDevice contract), so a burst may keep
-      // running through them; only a fault forces the caller's hand.
-      const Bus::Access acc = bus_.read(addr, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(5);  // load access fault (does not retire)
-        return false;
-      }
-      stall_ += acc.latency;
-      v = acc.value;
-    }
-    if (u.op == MicroOp::kLb)
-      v = static_cast<std::uint32_t>(sign_extend(v, 8));
-    if (u.op == MicroOp::kLh)
-      v = static_cast<std::uint32_t>(sign_extend(v, 16));
-    write_reg(u.rd, v);
-    ++instret_;
-    pc_ += u.len;
-    break;
-  }
-  case MicroOp::kSb:
-  case MicroOp::kSh:
-  case MicroOp::kSw: {
-    const std::uint32_t addr = read_reg(u.rs1) + u.imm;
-    const std::uint32_t b = read_reg(u.rs2);
-    unsigned size = 1;
-    if (u.op == MicroOp::kSh) size = 2;
-    if (u.op == MicroOp::kSw) size = 4;
-    if (!fast_write(addr, b, size)) {
-      const Bus::Access acc = bus_.write(addr, b, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(7);  // store access fault (does not retire)
-        return false;
-      }
-      // Writes that can start a device (CTRL registers) end the burst
-      // so the device phase of this cycle runs; passive stores keep the
-      // burst going.
-      bus_access_ = bus_access_ || acc.activating;
-      stall_ += acc.latency;
-    }
-    ++instret_;
-    pc_ += u.len;
-    // Activating store: exit before the stall burn, exactly like the
-    // single-step fallback (its remaining stall drains via skip_cycles).
-    if (bus_access_) return false;
-    break;
-  }
-  case MicroOp::kJal:
-  case MicroOp::kJalr:
-  case MicroOp::kBeq:
-  case MicroOp::kBne:
-  case MicroOp::kBlt:
-  case MicroOp::kBge:
-  case MicroOp::kBltu:
-  case MicroOp::kBgeu:
-  case MicroOp::kEcall:
-  case MicroOp::kEbreak:
-  case MicroOp::kWfi:
-  case MicroOp::kMret:
-  case MicroOp::kCsrrw:
-  case MicroOp::kCsrrs:
-  case MicroOp::kCsrrc:
-  case MicroOp::kCsrrwi:
-  case MicroOp::kCsrrsi:
-  case MicroOp::kCsrrci:
-  case MicroOp::kIllegal:
-    exec_op(u);
-    if (bus_access_ || halt_ != Halt::kRunning || wfi_) return false;
-    break;
-  }
-  if (stall_ > 0) {
-    const std::uint64_t burn =
-        stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-    cycles_ += burn;
-    budget -= burn;
-    r.cycles += burn;
-    stall_ -= static_cast<unsigned>(burn);
-    if (stall_ > 0) return false;  // budget exhausted mid-stall
-  }
-  return true;
+  exec_op(u);
+  // Activating store, memory fault, halt or WFI: exit before the stall
+  // burn, exactly like the single-step fallback (a remaining stall
+  // drains via skip_cycles).
+  if (bus_access_ || halt_ != Halt::kRunning || wfi_) return false;
+  return burn_stall(budget, r);
 }
 
-// Flattening inlines the retire helpers and the exec_alu switch into the
+// Flattening inlines retire_op, exec_op and the exec_alu switch into the
 // dispatch loop — the per-op call overhead is the dominant simulator cost
 // on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
 #if defined(__GNUC__)
@@ -724,104 +551,36 @@ __attribute__((flatten))
 #endif
 bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
                      std::uint64_t gen0) {
-  BlockStats& st = blocks_.stats();
-  // Fused fast paths precompute around the intermediate register value,
-  // which stuck-at register faults would mask on the intermediate read;
-  // with faults armed every pair retires sequentially (bit-exact). The
-  // same gate covers static runs (per-instruction fetch stalls and
-  // masked register reads both need per-op bookkeeping).
-  const bool fuse_fast = cfg_.fetch_latency == 0 && !reg_faults_armed_;
+  // Static runs batch the per-instruction fetch stall away, so they need
+  // fetch_latency 0. Stuck-at register faults need no gate: exec_alu
+  // reads and writes through read_reg/write_reg on both paths.
+  const bool batch = cfg_.fetch_latency == 0;
   for (const Segment& seg : blk.segs) {
     // Static runs: nothing inside can fault, trap, touch the bus, or
     // observe cycles_/pc_, so when the budget covers the whole run the
     // budget/cycle/instret/pc bookkeeping collapses to one update.
-    if (seg.static_run && fuse_fast && budget >= seg.cycles) {
-      const BlockOp* bo = &blk.ops[seg.first];
-      for (std::uint32_t n = seg.count; n != 0; --n, ++bo) {
-        if (bo->fuse == kFuseNone) {
-          exec_alu(bo->a);
-        } else {  // kFuseLuiAddi: both destinations are precomputed
-          write_reg(bo->a.rd, bo->a.imm);
-          write_reg(bo->b.rd, bo->fused_imm);
-          ++st.fused_exec;
-        }
-      }
+    if (seg.static_run && batch && budget >= seg.cycles) {
+      const MicroOp* u = &blk.ops[seg.first];
+      for (std::uint32_t n = seg.count; n != 0; --n, ++u) exec_alu(*u);
       cycles_ += seg.cycles;
       budget -= seg.cycles;
       r.cycles += seg.cycles;
-      instret_ += seg.instret;
+      instret_ += seg.count;
       pc_ += seg.pc_bump;
       continue;
     }
-    // Per-op path: dynamic ops, budget shortfall, armed register
-    // faults, or nonzero fetch latency.
+    // Per-op path: dynamic ops, budget shortfall, or nonzero fetch
+    // latency.
     const std::uint32_t seg_end = seg.first + seg.count;
     for (std::uint32_t oi = seg.first; oi < seg_end; ++oi) {
-      const BlockOp& bo = blk.ops[oi];
+      const MicroOp& u = blk.ops[oi];
       if (budget == 0) return false;
-      switch (bo.fuse) {
-        case kFuseNone:
-          if (!retire_half(bo.a, budget, r)) return false;
-          // A store that invalidated cached code (possibly this block)
-          // bumps the generation: stop and re-resolve from pc_.
-          if (bo.a.op >= MicroOp::kSb && bo.a.op <= MicroOp::kSw &&
-              blocks_.generation() != gen0)
-            return false;
-          break;
-        case kFuseLuiAddi:
-          if (fuse_fast && budget >= 2) {
-            cycles_ += 2;
-            budget -= 2;
-            r.cycles += 2;
-            write_reg(bo.a.rd, bo.a.imm);
-            write_reg(bo.b.rd, bo.fused_imm);
-            instret_ += 2;
-            pc_ += bo.len;
-            ++st.fused_exec;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-            if (budget == 0) return false;
-            if (!retire_half(bo.b, budget, r)) return false;
-            ++st.fused_exec;
-          }
-          break;
-        case kFuseAuipcJalr:
-          if (fuse_fast && budget >= 2) {
-            cycles_ += 2;
-            budget -= 2;
-            r.cycles += 2;
-            write_reg(bo.a.rd, pc_ + bo.a.imm);
-            write_reg(bo.b.rd, pc_ + bo.len);
-            instret_ += 2;
-            pc_ = bo.fused_imm;
-            ++st.fused_exec;
-            ++stall_;  // jalr taken-control-flow penalty
-            const std::uint64_t burn =
-                stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-            cycles_ += burn;
-            budget -= burn;
-            r.cycles += burn;
-            stall_ -= static_cast<unsigned>(burn);
-            if (stall_ > 0) return false;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-            if (budget == 0) return false;
-            if (!retire_half(bo.b, budget, r)) return false;
-            ++st.fused_exec;
-          }
-          break;
-        case kFuseLoadOp:
-        case kFuseOpBranch:
-        default:
-          // Sequential retire pair: the win is skipping the
-          // dispatch-loop re-entry and fuse re-classification, not
-          // altered timing.
-          if (!retire_half(bo.a, budget, r)) return false;
-          if (budget == 0) return false;
-          if (!retire_half(bo.b, budget, r)) return false;
-          ++st.fused_exec;
-          break;
-      }
+      if (!retire_op(u, budget, r)) return false;
+      // A store that invalidated cached code (possibly this block)
+      // bumps the generation: stop and re-resolve from pc_.
+      if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw &&
+          blocks_.generation() != gen0)
+        return false;
     }
   }
   return true;
@@ -885,15 +644,7 @@ Cpu::BurstResult Cpu::run_burst(std::uint64_t budget) {
         r.bus_access = bus_access_;
         break;
       }
-      if (stall_ > 0) {
-        const std::uint64_t burn =
-            stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-        cycles_ += burn;
-        budget -= burn;
-        r.cycles += burn;
-        stall_ -= static_cast<unsigned>(burn);
-        if (stall_ > 0) break;  // budget exhausted mid-stall
-      }
+      if (!burn_stall(budget, r)) break;  // budget exhausted mid-stall
       continue;
     }
     ++st.dispatches;
@@ -1416,12 +1167,6 @@ void Cpu::exec_op(const MicroOp& u) {
   const std::uint32_t b = read_reg(u.rs2);
 
   switch (u.op) {
-    case MicroOp::kLui:
-      write_reg(rd, u.imm);
-      break;
-    case MicroOp::kAuipc:
-      write_reg(rd, pc_ + u.imm);
-      break;
     case MicroOp::kJal:
       write_reg(rd, pc_ + u.len);
       next_pc = pc_ + u.imm;
@@ -1506,41 +1251,6 @@ void Cpu::exec_op(const MicroOp& u) {
       }
       break;
     }
-    case MicroOp::kAddi: write_reg(rd, a + u.imm); break;
-    case MicroOp::kSlti:
-      write_reg(rd, static_cast<std::int32_t>(a) <
-                            static_cast<std::int32_t>(u.imm)
-                        ? 1
-                        : 0);
-      break;
-    case MicroOp::kSltiu: write_reg(rd, a < u.imm ? 1 : 0); break;
-    case MicroOp::kXori: write_reg(rd, a ^ u.imm); break;
-    case MicroOp::kOri: write_reg(rd, a | u.imm); break;
-    case MicroOp::kAndi: write_reg(rd, a & u.imm); break;
-    case MicroOp::kSlli: write_reg(rd, a << u.imm); break;
-    case MicroOp::kSrli: write_reg(rd, a >> u.imm); break;
-    case MicroOp::kSrai:
-      write_reg(rd, static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(a) >> u.imm));
-      break;
-    case MicroOp::kAdd: write_reg(rd, a + b); break;
-    case MicroOp::kSub: write_reg(rd, a - b); break;
-    case MicroOp::kSll: write_reg(rd, a << (b & 0x1F)); break;
-    case MicroOp::kSlt:
-      write_reg(rd,
-                static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b)
-                    ? 1
-                    : 0);
-      break;
-    case MicroOp::kSltu: write_reg(rd, a < b ? 1 : 0); break;
-    case MicroOp::kXor: write_reg(rd, a ^ b); break;
-    case MicroOp::kSrl: write_reg(rd, a >> (b & 0x1F)); break;
-    case MicroOp::kSra:
-      write_reg(rd, static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(a) >> (b & 0x1F)));
-      break;
-    case MicroOp::kOr: write_reg(rd, a | b); break;
-    case MicroOp::kAnd: write_reg(rd, a & b); break;
     case MicroOp::kMul:
     case MicroOp::kMulh:
     case MicroOp::kMulhsu:
@@ -1548,57 +1258,10 @@ void Cpu::exec_op(const MicroOp& u) {
     case MicroOp::kDiv:
     case MicroOp::kDivu:
     case MicroOp::kRem:
-    case MicroOp::kRemu: {
-      const auto sa = static_cast<std::int64_t>(static_cast<std::int32_t>(a));
-      const auto sb = static_cast<std::int64_t>(static_cast<std::int32_t>(b));
-      const auto ua = static_cast<std::uint64_t>(a);
-      const auto ub = static_cast<std::uint64_t>(b);
-      switch (u.op) {
-        case MicroOp::kMul:
-          write_reg(rd, static_cast<std::uint32_t>(sa * sb));
-          break;
-        case MicroOp::kMulh:
-          write_reg(rd, static_cast<std::uint32_t>((sa * sb) >> 32));
-          break;
-        case MicroOp::kMulhsu:
-          write_reg(rd, static_cast<std::uint32_t>(
-                            (sa * static_cast<std::int64_t>(ub)) >> 32));
-          break;
-        case MicroOp::kMulhu:
-          write_reg(rd, static_cast<std::uint32_t>((ua * ub) >> 32));
-          break;
-        case MicroOp::kDiv:
-          if (b == 0)
-            write_reg(rd, 0xFFFFFFFFu);
-          else if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            write_reg(rd, 0x80000000u);
-          else
-            write_reg(rd, static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(a) /
-                              static_cast<std::int32_t>(b)));
-          break;
-        case MicroOp::kDivu:
-          write_reg(rd, b == 0 ? 0xFFFFFFFFu : a / b);
-          break;
-        case MicroOp::kRem:
-          if (b == 0)
-            write_reg(rd, a);
-          else if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            write_reg(rd, 0);
-          else
-            write_reg(rd, static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(a) %
-                              static_cast<std::int32_t>(b)));
-          break;
-        default:
-          write_reg(rd, b == 0 ? a : a % b);
-          break;
-      }
+    case MicroOp::kRemu:
+      exec_alu(u);
       stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
                                           : cfg_.div_latency - 1;
-      break;
-    }
-    case MicroOp::kFence:  // no-op on this single-hart platform
       break;
     case MicroOp::kEcall:
       if (read_reg(17) == 93) {  // exit syscall convention (a7 = 93)
@@ -1651,9 +1314,12 @@ void Cpu::exec_op(const MicroOp& u) {
       break;
     }
     case MicroOp::kIllegal:
-    default:
       mem_fault(2);  // illegal instruction
       return;
+    default:
+      // lui/auipc, OP-IMM, OP, fence: the single-cycle register group.
+      exec_alu(u);
+      break;
   }
 
   ++instret_;

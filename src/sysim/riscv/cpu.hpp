@@ -21,9 +21,12 @@
 /// (dense handler tag + pre-extracted fields) are decoded once into a
 /// direct-mapped cache keyed by PC — it serves the cycles the system
 /// must step one by one (busy devices, armed watchdogs) and the block
-/// tier's single-step fallback. Fetch/load/store to DRAM resolve through
-/// a raw-span fast path (Bus::direct_window) instead of the virtual
-/// BusDevice call. DRAM stores — from this CPU, the DMA engine, the
+/// tier's single-step fallback. Both share one executor: ops retire one
+/// by one through exec_op, whose register ops call exec_alu, except the
+/// block tier's static runs of pure register ops, which call exec_alu
+/// directly and batch the cycle/instret/pc bookkeeping. Fetch/load/store
+/// to DRAM resolve through a raw-span fast path (Bus::direct_window)
+/// instead of the virtual BusDevice call. DRAM stores — from this CPU, the DMA engine, the
 /// host, or injected faults — invalidate overlapping micro-ops and
 /// blocks, so self-modifying code and fault flips behave exactly like
 /// the reference path. Reference: CpuConfig::legacy_decode, a
@@ -86,7 +89,7 @@ class Cpu final : public BusWriteObserver {
   /// bypassing the per-cycle System loop: dispatch translated blocks
   /// (chain -> lookup -> build), falling back to single step()
   /// iterations whenever a block cannot be used (MMIO-resident code,
-  /// revoked fetch window, mid-pair resume points). Caller guarantees:
+  /// revoked fetch window, odd pc). Caller guarantees:
   /// not halted, not in WFI, no pending stall, the external interrupt
   /// line low and unable to rise for the window (all devices idle), and
   /// the production path selected (legacy_decode off). Exits early when
@@ -169,8 +172,8 @@ class Cpu final : public BusWriteObserver {
   /// min/max updates on addresses the fast path already has in registers.
   void publish_store_spans();
 
-  /// Block-tier diagnostics (blocks built, chained dispatches, fused
-  /// pairs, evictions, hit rate). All zero on the reference path, which
+  /// Block-tier diagnostics (blocks built, chained dispatches,
+  /// evictions, hit rate). All zero on the reference path, which
   /// never bursts.
   [[nodiscard]] const BlockStats& block_stats() const {
     return blocks_.stats();
@@ -200,8 +203,8 @@ class Cpu final : public BusWriteObserver {
   void exec_op(const MicroOp& u);
   // -- Block translation tier ----------------------------------------------
   /// Decode the straight-line run at `start` through the fetch window
-  /// into `blk` (with the fusion peephole). False when no instruction
-  /// could be read; the block is left invalid.
+  /// into `blk`. False when no instruction could be read; the block is
+  /// left invalid.
   bool build_block(Block& blk, std::uint32_t start);
   /// Execute blk's ops with per-op cycle/instret/stall bookkeeping
   /// identical to single-stepping them. Returns true when every op
@@ -211,13 +214,17 @@ class Cpu final : public BusWriteObserver {
   bool exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
                   std::uint64_t gen0);
   /// One micro-op through the exact single-step shape (cycle and
-  /// budget consumption, fetch stall, exec, stall burn). Caller
+  /// budget consumption, fetch stall, exec_op, stall burn). Caller
   /// guarantees budget >= 1. Returns false when the block/burst must
   /// stop after this op.
-  bool retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
+  bool retire_op(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
+  /// Burn the pending stall within the budget; false when the budget
+  /// ran out mid-stall.
+  bool burn_stall(std::uint64_t& budget, BurstResult& r);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
-  /// no cycle/stall/pc bookkeeping — callers account for those. Shared
-  /// by retire_half and exec_block's static runs.
+  /// no cycle/stall/pc bookkeeping — callers account for those. The one
+  /// production copy of these semantics: exec_op calls it per op,
+  /// exec_block's static runs back-to-back.
   void exec_alu(const MicroOp& u);
   /// Legacy decode-every-fetch path; `len` is the encoded length of the
   /// fetched instruction (2 for an expanded RV32C form).

@@ -7,8 +7,8 @@
 //           by this harness, so every instruction goes through step()
 //           and its predecoded micro-op cache
 //   block:  the production configuration as System::run_until() runs
-//           it (basic-block bursts with chaining and macro-op fusion,
-//           bulk idle skips)
+//           it (basic-block bursts with chaining and batched static
+//           runs, bulk idle skips)
 // — asserting bit-identical cycles, instret, halt reason, exit code,
 // final register file and final DRAM image. This is the contract that
 // lets the fault campaigns trust the optimized simulator.
@@ -537,11 +537,11 @@ TEST(SysimDiffTest, DmaOverwritesCachedBlock) {
   EXPECT_GE(block.bstats.evictions, 1u) << "DMA write must evict the block";
 }
 
-TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
-  // Transient bit flip in the second half of a lui+addi fused pair
-  // inside a hot loop: invalidation must evict the block and the
-  // rebuilt pair must fuse around the corrupted word, bit-identical to
-  // the decode-every-fetch oracle.
+TEST(SysimDiffTest, FaultFlipInsideStaticRun) {
+  // Transient bit flip in the addi of a lui+addi constant inside a hot
+  // loop, where both sit in one static run: invalidation must evict the
+  // block and the rebuilt run must materialize the corrupted constant,
+  // bit-identical to the decode-every-fetch oracle.
   SystemConfig sc;
   sc.accel = small_accel();
   Assembler as(sc.dram_base);
@@ -550,16 +550,16 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
   as.label("loop");
   as.li(a0, 0x12345678);  // lui+addi at byte offsets 8 and 12
   as.addi(s0, s0, 1);
-  as.blt(s0, s1, "loop");  // fuses with the addi (op+branch)
+  as.blt(s0, s1, "loop");
   as.ebreak();
   const auto program = as.assemble();
   ASSERT_EQ(as.address_of("loop"), sc.dram_base + 8);
 
   const Capture block =
-      diff_drive(sc, "flip inside fused pair", [&](System& system, Tier tier) {
+      diff_drive(sc, "flip inside static run", [&](System& system, Tier tier) {
         system.load_program(program);
-        advance(system, tier, 100);  // loop is hot, pair is fused
-        // Flip imm[4] of the addi half (code byte 15, bit 0).
+        advance(system, tier, 100);  // loop is hot, block is translated
+        // Flip imm[4] of the addi (code byte 15, bit 0).
         system.dram().flip_bit(15, 0);
         advance(system, tier, 500000);
       });
@@ -567,7 +567,131 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
   EXPECT_EQ(block.regs[10], 0x12345668u)
       << "remaining iterations must materialize the corrupted constant";
   EXPECT_GE(block.bstats.evictions, 1u) << "flip must evict the block";
-  EXPECT_GT(block.bstats.fused_exec, 0u);
+}
+
+/// A hot loop whose body is a long call — auipc t1,hi ; jalr ra,t1,lo —
+/// into code staged 12 KiB above the program, with every other edge
+/// indirect (ret, and a jalr back to the loop head), so the only
+/// chainable transition is the call's build-time target hint. The far
+/// code holds the callee and, 64 bytes above it, a second landing pad
+/// reached when bit 6 of t1 is corrupted between the two instructions.
+struct LongCallLoop {
+  static constexpr std::uint32_t kFar = 0x3000;  ///< callee DRAM offset
+  static constexpr unsigned kBit = 6;            ///< t1 bit sending to pad2
+  std::vector<std::uint32_t> program;
+  std::vector<std::uint32_t> far;
+  std::uint32_t jalr_pc = 0;
+  std::uint32_t t1_value = 0;  ///< t1 after the auipc retires
+
+  explicit LongCallLoop(const SystemConfig& sc) {
+    Assembler as(sc.dram_base);
+    as.li(s5, sc.dram_base + 8);  // loop head: lui+addi
+    as.label("loop");
+    as.addi(s0, s0, 1);
+    const std::uint32_t auipc_pc = as.address_of("loop") + 4;
+    const std::uint32_t off = sc.dram_base + kFar - auipc_pc;
+    const std::uint32_t hi = (off + 0x800u) >> 12;
+    as.auipc(t1, hi);
+    as.jalr(ra, t1, static_cast<std::int32_t>(off - (hi << 12)));
+    as.jalr(zero, s5, 0);  // back to the loop head (indirect)
+    program = as.assemble();
+    EXPECT_EQ(as.address_of("loop"), sc.dram_base + 8);
+    jalr_pc = auipc_pc + 4;
+    t1_value = auipc_pc + (hi << 12);
+    EXPECT_EQ(t1_value & (1u << kBit), 0u) << "flip must move the target up";
+
+    Assembler callee(sc.dram_base + kFar);
+    callee.addi(a0, a0, 3);
+    callee.ret();
+    for (unsigned i = 2; i < (1u << kBit) / 4; ++i) callee.nop();
+    callee.label("pad2");
+    callee.addi(a1, a1, 1);
+    callee.ret();
+    EXPECT_EQ(callee.address_of("pad2"), sc.dram_base + kFar + (1u << kBit));
+    far = callee.assemble();
+  }
+
+  void load(System& system) const {
+    system.write_dram(kFar, far.data(), far.size() * 4);
+    system.load_program(program);
+  }
+};
+
+constexpr std::uint64_t kLongCallEnd = 3000;
+
+TEST(SysimDiffTest, AuipcJalrLongCallChainsOnHint) {
+  // The auipc+jalr target is static: the block tier records it as the
+  // call block's taken successor and chains to the callee on every hot
+  // iteration, bit-identical to the other legs.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const LongCallLoop prog(sc);
+  const Capture block =
+      diff_drive(sc, "auipc+jalr long call", [&](System& system, Tier tier) {
+        prog.load(system);
+        advance(system, tier, kLongCallEnd);
+      });
+  EXPECT_GT(block.regs[10], 300u) << "callee must run every iteration";
+  EXPECT_EQ(block.regs[11], 0u) << "pad2 must not be reached";
+  EXPECT_GT(block.bstats.chained, 0u)
+      << "the call's static target is the only chainable edge";
+}
+
+TEST(SysimDiffTest, AuipcJalrLongCallFlipBetweenPair) {
+  // A transient flip of the auipc's rd, injected after the auipc retires
+  // and before the jalr, sends that one call to the second landing pad;
+  // the block tier must not follow its hinted link there.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const LongCallLoop prog(sc);
+  // The injection cycle: the 50th iteration, with pc at the jalr.
+  std::uint64_t inject = 0;
+  {
+    System probe(with_tier(sc, Tier::kTick));
+    prog.load(probe);
+    while (!(probe.cpu().pc() == prog.jalr_pc &&
+             probe.cpu().read_reg(s0) == 50))
+      probe.tick();
+    inject = probe.now();
+  }
+  const Capture block = diff_drive(
+      sc, "auipc+jalr flip between pair", [&](System& system, Tier tier) {
+        prog.load(system);
+        advance(system, tier, inject);
+        EXPECT_EQ(system.cpu().pc(), prog.jalr_pc) << tier_name(tier);
+        EXPECT_EQ(system.cpu().read_reg(t1), prog.t1_value) << tier_name(tier);
+        system.cpu().flip_reg_bit(t1, LongCallLoop::kBit);
+        advance(system, tier, kLongCallEnd);
+      });
+  EXPECT_EQ(block.regs[11], 1u) << "the flipped call must land on pad2";
+  EXPECT_GT(block.bstats.chained, 0u);
+}
+
+TEST(SysimDiffTest, AuipcJalrLongCallStuckRdRejectsHint) {
+  // A stuck-at bit on the auipc's rd corrupts the target inside the call
+  // block itself, after its link to the callee is hot: every later call
+  // lands on the second pad, where pc_ never matches the hinted target,
+  // so the block tier must stop chaining and still match the reference.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const LongCallLoop prog(sc);
+  std::uint64_t chained_at_arm = 0;
+  std::uint64_t chained_at_end = 0;
+  const Capture block = diff_drive(
+      sc, "auipc+jalr stuck rd", [&](System& system, Tier tier) {
+        prog.load(system);
+        advance(system, tier, kLongCallEnd / 2);
+        if (tier == Tier::kBlock)
+          chained_at_arm = system.cpu().block_stats().chained;
+        system.cpu().set_reg_stuck_bit(t1, LongCallLoop::kBit, true);
+        advance(system, tier, kLongCallEnd);
+        if (tier == Tier::kBlock)
+          chained_at_end = system.cpu().block_stats().chained;
+      });
+  EXPECT_GT(block.regs[11], 100u) << "every later call must land on pad2";
+  EXPECT_GT(chained_at_arm, 0u) << "the hinted link must be hot";
+  EXPECT_EQ(chained_at_end, chained_at_arm)
+      << "a wrong hint must never be followed";
 }
 
 // ------------------------------------------------------------- RV32C
@@ -784,7 +908,7 @@ TEST(SysimDiffTest, FaultFlipInsideHotChain) {
   as.li(s0, 0);    // one word (addi)
   as.li(s1, 200);  // one word (addi)
   as.label("loop");
-  as.li(a0, 0x12345678);  // lui+addi fused pair
+  as.li(a0, 0x12345678);  // lui+addi
   as.addi(a1, a0, 0x10);  // a1 = const + 0x10
   as.slli(a2, a1, 1);     // chained through a1
   as.addi(s0, s0, 1);
